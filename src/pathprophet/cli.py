@@ -29,7 +29,6 @@ from .instances import generate_paper_instance, generate_random_instance, paper_
 from .model import (
     Instance,
     load_instance,
-    sample_realization,
     save_instance,
     validate_instance,
 )
@@ -211,9 +210,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     inst = _load_checked(args.instance)
     seed, generated = (args.seed, False) if args.seed is not None else (_fresh_seed(), True)
     prep = _Prepared(inst, args.policy, None, args.cover_seed)
-    rng = random.Random(derive_seed(seed, "traj", 0))
-    realization = sample_realization(inst, rng)
-    traj = prep.run(rng, realization=realization)
+    traj = prep.run(random.Random(derive_seed(seed, "traj", 0)))
     if args.json:
         _emit_json(
             {

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import EnumerationCapError, InvalidInstanceError
-from .util import TOL, default_enum_cap, weighted_index
+from .util import TOL, cumulative, default_enum_cap, pick
 
 
 @dataclass(frozen=True)
@@ -205,7 +206,7 @@ def validate_instance(inst: Instance) -> ValidationReport:
                 )
 
     for lbl, cap in inst.labels.items():
-        if not isinstance(cap, int) or cap < 1:
+        if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
             rep.violations.append(
                 Violation("bad-capacity", f"label {lbl!r} has capacity {cap!r}", where=lbl)
             )
@@ -245,7 +246,12 @@ def validate_instance(inst: Instance) -> ValidationReport:
         want = {e.id for e in out}
         total = 0.0
         for j, o in enumerate(table):
-            if o.p < 0:
+            # ints and Fractions are always finite; only floats can be NaN or inf
+            if isinstance(o.p, float) and not math.isfinite(o.p):
+                rep.violations.append(
+                    Violation("non-finite", f"outcome {j} of {name!r} has mass {o.p}", where=name)
+                )
+            elif o.p < 0:
                 rep.violations.append(
                     Violation("negative-mass", f"outcome {j} of {name!r} has mass {o.p}", where=name)
                 )
@@ -260,7 +266,10 @@ def validate_instance(inst: Instance) -> ValidationReport:
                 )
             else:
                 for eid, v in o.values.items():
-                    if v < 0:
+                    if isinstance(v, float) and not math.isfinite(v):
+                        msg = f"edge {eid} gets value {v} in outcome {j} of {name!r}"
+                        rep.violations.append(Violation("non-finite", msg, where=name))
+                    elif v < 0:
                         rep.violations.append(
                             Violation("negative-value", f"edge {eid} gets value {v} in outcome {j} of {name!r}", where=name)
                         )
@@ -336,7 +345,7 @@ def sample_realization(inst: Instance, rng: random.Random) -> Realization:
         if not table:
             choices.append(0)
             continue
-        j = weighted_index([o.p for o in table], rng.random())
+        j = pick(cumulative([o.p for o in table]), rng.random())
         choices.append(j)
         mass *= table[j].p
     return Realization(tuple(choices), _fill_values(inst, choices), mass)
@@ -389,10 +398,14 @@ def instance_from_dict(d: Mapping[str, Any]) -> Instance:
     return Instance.build(nodes, edge_specs, labels, outcomes, d.get("meta"))
 
 
+def _reject_constant(name: str) -> float:
+    raise InvalidInstanceError(f"non-finite number {name} in instance file")
+
+
 def load_instance(path: str) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:
             raise InvalidInstanceError(f"not valid JSON: {exc}") from exc
     return instance_from_dict(data)

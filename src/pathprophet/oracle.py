@@ -26,7 +26,7 @@ from .model import (
     enumerate_realizations,
     sample_realization,
 )
-from .util import DEFAULT_STATE_CAP, derive_seed, stable_sum
+from .util import DEFAULT_STATE_CAP, cumulative, derive_seed, stable_sum
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,7 @@ class _SpecData:
     # node index -> outcome index -> {edge id or None: conditional prob}
     cond: dict[int, list[dict[int | None, float]]]
     paths: dict[tuple[int, ...], float]
+    tables: dict[int, list[tuple[list[float], int]]] | None = None
 
 
 class Oracle:
@@ -223,6 +224,19 @@ class Oracle:
         if i not in data.cond:
             raise InvalidInstanceError(f"node {node!r} has no outcome table")
         return dict(data.cond[i][outcome_idx])
+
+    def choice_tables(self, spec: OfflineSpec = OPT) -> dict[int, list[tuple[list[float], int]]]:
+        """The conditional choice laws as float cumulative tables
+        (`util.cumulative`) over the node's out-edges in order, then
+        None; built once per spec, for samplers."""
+        data = self._annotate(spec)
+        if data.tables is None:
+            data.tables = {}
+            for i, rows in data.cond.items():
+                keys: list[int | None] = [e.id for e in self.inst.out_edges[i]]
+                keys.append(None)
+                data.tables[i] = [cumulative([law[k] for k in keys]) for law in rows]
+        return data.tables
 
     def path_distribution(self, spec: OfflineSpec = OPT) -> dict[tuple[int, ...], float]:
         return dict(self._annotate(spec).paths)

@@ -9,34 +9,44 @@ is obtained on graphs wider than one path.
 
 The module provides two views of every policy:
 
-* samplers (`run_width1_unlabeled`, `run_modified_width1`,
-  `run_width1_labeled`, `run_general_cover_policy`,
-  `run_disjoint_paths_policy`) that walk one trajectory with an
-  explicit `random.Random`, and
+* one sampler, `FocalWalker`, that walks one trajectory with an
+  explicit `random.Random`; every `run_*` function and the staged Monte
+  Carlo mode of `feasibility_probabilities` drive it.  Its float tables
+  are compiled once per prepared policy (`PolicyWalk`), on the first
+  trial, and never in exact mode.
 * an exact engine (`evaluate_focal_policy`) that pushes the full
   distribution of the walker's (position, label usage) state forward
   along the focal path, folding outcome tables and acceptance coins
   analytically.  Tentative draws are conditionally independent of the
   walker's state given the node outcome, so the forward pass is exact,
   not an approximation.
+
+Draw order of one trial, which a fixed seed reproduces bit for bit:
+one uniform per node that has an outcome table, in node order (unless a
+realization is supplied); then `randrange(k)` for the general policy;
+then per visited node one uniform for the tentative edge and a coin by
+the acceptance rule.  The alpha rule (`width1`, `disjoint`) draws a
+coin for every bypass tentative.  The labeled rule (`width1-labeled`,
+`general`) draws a bookkeeping coin for a path-edge tentative and a
+coin for a bypass tentative with capacity left.  The staged rule of MC
+feasibility draws a coin only for a bypass tentative with capacity
+left and an acceptance already estimated.  A coin is compared against
+`exact_threshold` of the acceptance probability, which decides exactly
+as the exact (possibly `Fraction`) probability would.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cover import PathCover, min_path_cover, shortest_unlabeled_path
-from .errors import CoverError, PolicyError, ScheduleError
-from .model import (
-    Instance,
-    Realization,
-    active_label_caps,
-    sample_realization,
-)
+from .errors import CoverError, InvalidInstanceError, PolicyError, ScheduleError
+from .model import Instance, Realization, active_label_caps
 from .oracle import OPT, EdgeProbabilities, OfflineSpec, Oracle, restricted_spec
-from .util import TOL, derive_seed, stable_sum, weighted_index
+from .util import TOL, cumulative, derive_seed, exact_threshold, pick, stable_sum
 
 
 def path_nodes(inst: Instance, focal: Sequence[int]) -> tuple[str, ...]:
@@ -336,14 +346,6 @@ class FeasibilityProbs:
     trials: int | None = None
     seed: int | None = None
 
-    def acceptance(self, eid: int) -> float:
-        pe = self.p.get(eid, 0)
-        if pe <= 0:
-            raise PolicyError(
-                f"p(e)=0 encountered for a tentative edge with x_e>0 (edge {eid})"
-            )
-        return min(1, 1 / (self.divisor * pe))
-
 
 def feasibility_probabilities(
     inst: Instance,
@@ -394,66 +396,31 @@ def feasibility_probabilities(
     if seed is None:
         raise PolicyError("Monte Carlo feasibility needs an explicit seed")
 
-    order = path_nodes(inst, focal)
-    pos = {name: i for i, name in enumerate(order)}
-    active = active_label_caps(inst)
-    caps = tuple(c for _, c in active)
-    apos = {lbl: i for i, (lbl, _) in enumerate(active)}
+    walker = FocalWalker(inst, focal, oracle, spec, None)  # staged rule
+    draw = PolicyWalk(inst, [walker]).draw
+    caps = walker.caps
     est: dict[int, float] = {}
-    beta: dict[int, float] = {}
-
-    def edge_need(eid: int) -> tuple[int, ...]:
-        return tuple(apos[l] for l in inst.edges[eid].labels if l in apos)
-
-    m = len(focal)
-    for i in range(m):
-        u = order[i]
-        ui = inst.node_index[u]
-        hits = {e.id: 0 for e in inst.out_edges[ui]}
+    for i, stop in enumerate(walker.stops):
+        tents = stop.tents[:-1]
+        hits = [0] * len(tents)
         for j in range(trials):
             rng = random.Random(derive_seed(seed, "feas", i, j))
-            r = sample_realization(inst, rng)
-            cur = 0
-            usage = [0] * len(caps)
-            while cur < i:
-                node = order[cur]
-                ni = inst.node_index[node]
-                law = oracle.conditional_choice_distribution(node, r.choices[ni], spec)
-                keys: list[int | None] = [e.id for e in inst.out_edges[ni]]
-                keys.append(None)
-                tent = keys[weighted_index([law.get(k, 0) for k in keys], rng.random())]
-                if tent is None or tent == focal[cur]:
-                    cur += 1
-                    continue
-                need = edge_need(tent)
-                if any(usage[k] >= caps[k] for k in need):
-                    cur += 1
-                    continue
-                b = beta.get(tent)
-                if b is None:
-                    cur += 1  # never estimated, treat as never accepted
-                    continue
-                if rng.random() < b:
-                    for k in need:
-                        usage[k] += 1
-                    cur = pos[inst.edges[tent].dst]
-                else:
-                    cur += 1
+            _, cur, usage = walker.walk(rng, draw(rng), stop=i)
             if cur != i:
                 continue  # skipped past this position
-            for eid in hits:
-                if all(usage[k] < caps[k] for k in edge_need(eid)):
-                    hits[eid] += 1
-        for eid, h in hits.items():
+            for k, t in enumerate(tents):
+                if all(usage[c] < caps[c] for c in t.need):
+                    hits[k] += 1
+        for t, h in zip(tents, hits):
             pe = h / trials
-            est[eid] = pe
+            est[t.eid] = pe
             if pe > 0:
-                beta[eid] = min(1, 1 / (divisor * pe))
+                walker.thresholds[t.eid] = exact_threshold(min(1, 1 / (divisor * pe)))
     return FeasibilityProbs(est, "mc", divisor, trials, seed)
 
 
 # ---------------------------------------------------------------------------
-# trajectory samplers
+# the compiled focal walker
 
 
 @dataclass(frozen=True)
@@ -473,16 +440,184 @@ class Trajectory:
     steps: tuple[StepRecord, ...]
     sub_index: int | None = None  # cover path used, for composite policies
     inner_value: float | None = None  # certified value before connector replay
-    inner_edges: tuple[int, ...] | None = None
 
 
-def _draw_tentative(
-    oracle: Oracle, spec: OfflineSpec, node: str, outcome_idx: int, out_ids: list[int], u: float
-) -> int | None:
-    law = oracle.conditional_choice_distribution(node, outcome_idx, spec)
-    keys: list[int | None] = list(out_ids)
-    keys.append(None)
-    return keys[weighted_index([law.get(k, 0) for k in keys], u)]
+class _Tentative(NamedTuple):
+    eid: int
+    need: tuple[int, ...]  # active-label positions the edge uses
+    dst: int | None  # focal position of its head; None: leaves the focal surface
+
+
+class _Stop(NamedTuple):
+    node: str
+    slot: int  # index of the node's outcome in the choices the walk reads
+    path_eid: int
+    laws: list[tuple[list[float], int]]  # per outcome: cumulative choice law
+    tents: list[_Tentative | None]  # out-edges in order, then None
+
+
+class FocalWalker:
+    """One walk along a focal path, compiled once per (instance, focal
+    path, spec, acceptance rule).
+
+    `rule` is an `AlphaSchedule` (alpha rule), a `FeasibilityProbs`
+    (labeled rule) or None (staged rule: no edge is accepted until its
+    entry in `thresholds` is set).  `home` is the instance whose
+    realization the walk reads; it defaults to `inst` and is the full
+    graph when `inst` is a contraction of it.
+    """
+
+    def __init__(
+        self,
+        inst: Instance,
+        focal: Sequence[int],
+        oracle: Oracle,
+        spec: OfflineSpec,
+        rule: AlphaSchedule | FeasibilityProbs | None,
+        home: Instance | None = None,
+    ):
+        home = inst if home is None else home
+        focal = tuple(focal)
+        order = path_nodes(inst, focal)
+        pos = {name: i for i, name in enumerate(order)}
+        active = active_label_caps(inst)
+        apos = {lbl: k for k, (lbl, _) in enumerate(active)}
+        self.caps = tuple(c for _, c in active)
+        self.labeled = isinstance(rule, FeasibilityProbs)
+        if self.labeled and any(inst.edges[eid].labels for eid in focal):
+            raise PolicyError("focal path must consist of unlabeled edges")
+        if isinstance(rule, AlphaSchedule) and inst.max_labels_per_edge > 0:
+            raise PolicyError("unlabeled policy cannot run on a labeled instance")
+        tables = oracle.choice_tables(spec)
+        self.thresholds: list[float | None] = [None] * len(inst.edges)
+        self.stops: list[_Stop] = []
+        for i, u in enumerate(order[:-1]):
+            ui = inst.node_index[u]
+            if ui not in tables:
+                raise InvalidInstanceError(f"node {u!r} has no outcome table")
+            out = inst.out_edges[ui]
+            tents = [
+                _Tentative(e.id, tuple(apos[l] for l in e.labels if l in apos), pos.get(e.dst))
+                for e in out
+            ]
+            self.stops.append(_Stop(u, home.node_index[u], focal[i], tables[ui], [*tents, None]))
+            for e in out:
+                if isinstance(rule, AlphaSchedule):
+                    self.thresholds[e.id] = exact_threshold(rule.alpha[i])
+                elif self.labeled and rule.p.get(e.id, 0) > 0:
+                    a = min(1, 1 / (rule.divisor * rule.p[e.id]))
+                    self.thresholds[e.id] = exact_threshold(a)
+
+    def walk(
+        self,
+        rng: random.Random,
+        choices: Sequence[int],
+        steps: list[StepRecord] | None = None,
+        stop: int | None = None,
+    ) -> tuple[list[int], int, list[int]]:
+        """Walk from the source to focal position `stop` (default: the
+        sink) under the given outcome choices.  Returns the edges taken,
+        the position reached and the label usage; appends one record per
+        visited node to `steps` when given."""
+        rand = rng.random
+        caps, thresholds, labeled = self.caps, self.thresholds, self.labeled
+        usage = [0] * len(caps)
+        edges: list[int] = []
+        cur = 0
+        end = len(self.stops) if stop is None else stop
+        while cur < end:
+            node, slot, path_eid, laws, tents = self.stops[cur]
+            outcome = choices[slot]
+            tent = tents[pick(laws[outcome], rand())]
+            taken, nxt, coin, feasible = path_eid, cur + 1, None, None
+            if tent is not None:
+                eid, need, dst = tent
+                if eid == path_eid:
+                    if labeled:  # bookkeeping coin: movement is the same either way
+                        coin, feasible = rand(), True
+                else:
+                    ok = not need or all(usage[k] < caps[k] for k in need)
+                    thr = thresholds[eid] if ok else None
+                    if labeled:
+                        feasible = ok
+                        if ok and thr is None:
+                            raise PolicyError(
+                                f"p(e)=0 encountered for a tentative edge with x_e>0 (edge {eid})"
+                            )
+                    if thr is not None:
+                        coin = rand()
+                        if coin < thr:
+                            if dst is None:
+                                raise PolicyError(f"tentative edge {eid} leaves the focal surface")
+                            taken, nxt = eid, dst
+                            for k in need:
+                                usage[k] += 1
+            edges.append(taken)
+            if steps is not None:
+                tentative = None if tent is None else tent.eid
+                steps.append(StepRecord(node, outcome, tentative, feasible, coin, taken))
+            cur = nxt
+        return edges, cur, usage
+
+
+class PolicyWalk:
+    """A policy's trajectory sampler, compiled once per prepared policy:
+    per node of `inst` a float cumulative table over outcome masses,
+    every edge value as an integer numerator over one common denominator
+    (a walk's value is the float of its exact sum), and one walker per
+    cover path.  With several, one is picked uniformly and its
+    contracted walk replayed on `inst` through `contracted`."""
+
+    def __init__(
+        self,
+        inst: Instance,
+        walkers: Sequence[FocalWalker],
+        contracted: Sequence[ContractedInstance] | None = None,
+        sub_index: int | None = None,
+    ):
+        self.walkers = tuple(walkers)
+        self.sub_index = sub_index
+        # per cover path and contracted edge: the real edges it replays as
+        self.replay = contracted and [
+            [(r.original_id, *r.connector) for r in ci.edges] for ci in contracted
+        ]
+        self.tables = [cumulative([o.p for o in t]) if t else None for t in inst.tables]
+        self.src = [inst.node_index[e.src] for e in inst.edges]
+        ratios = [
+            [o.values.get(e.id, 0).as_integer_ratio() for o in inst.tables[s]] or [(0, 1)]
+            for e, s in zip(inst.edges, self.src)
+        ]
+        self.den = math.lcm(*(d for row in ratios for _, d in row))
+        self.nums = [tuple(n * (self.den // d) for n, d in row) for row in ratios]
+
+    def draw(self, rng: random.Random) -> list[int]:
+        """Outcome choice per node: one uniform per node with a table."""
+        rand = rng.random
+        return [0 if t is None else pick(t, rand()) for t in self.tables]
+
+    def value(self, choices: Sequence[int], edges: Sequence[int]) -> float:
+        nums, src = self.nums, self.src
+        return sum(nums[e][choices[src[e]]] for e in edges) / self.den
+
+    def run(
+        self, rng: random.Random | None, realization: Realization | None = None, record: bool = True
+    ) -> Trajectory:
+        if rng is None:
+            raise PolicyError("a random.Random must be supplied")
+        choices = self.draw(rng) if realization is None else realization.choices
+        steps: list[StepRecord] | None = [] if record else None
+        if not self.replay:
+            edges = self.walkers[0].walk(rng, choices, steps)[0]
+            value = self.value(choices, edges)
+            return Trajectory(tuple(edges), value, tuple(steps or ()), self.sub_index)
+        i = rng.randrange(len(self.walkers))
+        inner = [self.replay[i][e] for e in self.walkers[i].walk(rng, choices, steps)[0]]
+        edges = [eid for real in inner for eid in real]
+        value = self.value(choices, edges)
+        inner_value = self.value(choices, [real[0] for real in inner])
+        if value < inner_value - 1e-9:
+            raise PolicyError("replayed walk lost value against its contracted run")
+        return Trajectory(tuple(edges), value, tuple(steps or ()), i, inner_value)
 
 
 def run_modified_width1(
@@ -498,52 +633,12 @@ def run_modified_width1(
     """Walk the focal path once, accepting bypass tentatives with the
     schedule's alpha.  Core of both width-1 unlabeled variants; with a
     q=0 schedule this is the plain one, with q>0 the strand-restricted
-    one.  Draw order per trial: realization (if not supplied), then per
-    visited node one uniform for the tentative and, only for a feasible
-    bypass tentative, one acceptance coin.
-    """
-    if rng is None:
-        raise PolicyError("a random.Random must be supplied")
-    if inst.max_labels_per_edge > 0:
-        raise PolicyError("unlabeled policy cannot run on a labeled instance")
+    one."""
     oracle = Oracle(inst) if oracle is None else oracle
-    focal = tuple(focal)
-    if schedule.focal != focal:
+    if schedule.focal != tuple(focal):
         raise ScheduleError("schedule was built for a different focal path")
-    order = schedule.node_order
-    pos = {name: i for i, name in enumerate(order)}
-    if realization is None:
-        realization = sample_realization(inst, rng)
-    m = len(focal)
-    cur = 0
-    edges: list[int] = []
-    steps: list[StepRecord] = []
-    while cur < m:
-        u = order[cur]
-        ui = inst.node_index[u]
-        o_idx = realization.choices[ui]
-        out_ids = [e.id for e in inst.out_edges[ui]]
-        tent = _draw_tentative(oracle, spec, u, o_idx, out_ids, rng.random())
-        coin = None
-        if tent is None or tent == focal[cur]:
-            taken = focal[cur]
-            nxt = cur + 1
-        else:
-            coin = rng.random()
-            if coin < schedule.alpha[cur]:
-                taken = tent
-                dst = inst.edges[tent].dst
-                if dst not in pos:
-                    raise PolicyError(f"tentative edge {tent} leaves the focal surface")
-                nxt = pos[dst]
-            else:
-                taken = focal[cur]
-                nxt = cur + 1
-        edges.append(taken)
-        steps.append(StepRecord(u, o_idx, tent, None, coin, taken))
-        cur = nxt
-    value = stable_sum(realization.values[eid] for eid in edges)
-    return Trajectory(tuple(edges), value, tuple(steps))
+    walker = FocalWalker(inst, focal, oracle, spec, schedule)
+    return PolicyWalk(inst, [walker]).run(rng, realization)
 
 
 def _require_covering_focal(inst: Instance, focal: Sequence[int] | None) -> tuple[int, ...]:
@@ -598,78 +693,19 @@ def run_width1_labeled(
 
     Tentative edge e is accepted with probability 1/(divisor * p(e)),
     divisor defaulting to d+2 for d = most labels on any edge.  The
-    focal path itself must be unlabeled and visit every node.  Draw
-    order per trial: realization (if not supplied), then per visited
-    node one uniform for the tentative and one acceptance coin whenever
-    a tentative edge exists (for a path-edge tentative the coin is
-    bookkeeping; movement is the same either way).
+    focal path itself must be unlabeled and visit every node.
     """
-    if rng is None:
-        raise PolicyError("a random.Random must be supplied")
     oracle = Oracle(inst) if oracle is None else oracle
     spec = OPT if spec is None else spec
     focal = _require_covering_focal(inst, focal)
-    for eid in focal:
-        if inst.edges[eid].labels:
-            raise PolicyError("focal path must consist of unlabeled edges")
     if divisor is None:
         divisor = inst.max_labels_per_edge + 2
     if probs is None:
         probs = feasibility_probabilities(
             inst, focal, x, "exact", oracle=oracle, spec=spec, divisor=divisor
         )
-    order = path_nodes(inst, focal)
-    pos = {name: i for i, name in enumerate(order)}
-    active = active_label_caps(inst)
-    caps = tuple(c for _, c in active)
-    apos = {lbl: i for i, (lbl, _) in enumerate(active)}
-    if realization is None:
-        realization = sample_realization(inst, rng)
-    m = len(focal)
-    cur = 0
-    usage = [0] * len(caps)
-    edges: list[int] = []
-    steps: list[StepRecord] = []
-    while cur < m:
-        u = order[cur]
-        ui = inst.node_index[u]
-        o_idx = realization.choices[ui]
-        out_ids = [e.id for e in inst.out_edges[ui]]
-        tent = _draw_tentative(oracle, spec, u, o_idx, out_ids, rng.random())
-        coin = None
-        feasible = None
-        if tent is None:
-            taken = focal[cur]
-            nxt = cur + 1
-        elif tent == focal[cur]:
-            coin = rng.random()  # movement unaffected; keeps take-probability accounting exact
-            feasible = True
-            taken = focal[cur]
-            nxt = cur + 1
-        else:
-            need = tuple(apos[l] for l in inst.edges[tent].labels if l in apos)
-            feasible = all(usage[k] < caps[k] for k in need)
-            if not feasible:
-                taken = focal[cur]
-                nxt = cur + 1
-            else:
-                coin = rng.random()
-                if coin < probs.acceptance(tent):
-                    taken = tent
-                    for k in need:
-                        usage[k] += 1
-                    dst = inst.edges[tent].dst
-                    if dst not in pos:
-                        raise PolicyError(f"tentative edge {tent} leaves the focal surface")
-                    nxt = pos[dst]
-                else:
-                    taken = focal[cur]
-                    nxt = cur + 1
-        edges.append(taken)
-        steps.append(StepRecord(u, o_idx, tent, feasible, coin, taken))
-        cur = nxt
-    value = stable_sum(realization.values[eid] for eid in edges)
-    return Trajectory(tuple(edges), value, tuple(steps))
+    walker = FocalWalker(inst, focal, oracle, spec, probs)
+    return PolicyWalk(inst, [walker]).run(rng, realization)
 
 
 # ---------------------------------------------------------------------------
@@ -774,21 +810,6 @@ def build_contracted_instance(inst: Instance, cover: PathCover, index: int) -> C
     return ContractedInstance(graph, focal, tuple(records), index)
 
 
-def project_realization(ci: ContractedInstance, inst: Instance, full: Realization) -> Realization:
-    """Restrict a full-instance realization to a contracted instance."""
-    g = ci.graph
-    choices = []
-    mass = 1
-    for name in g.nodes:
-        oi = inst.node_index[name]
-        choices.append(full.choices[oi])
-        table = inst.tables[oi]
-        if table:
-            mass *= table[full.choices[oi]].p
-    values = tuple(full.values[rec.original_id] for rec in ci.edges)
-    return Realization(tuple(choices), values, mass)
-
-
 @dataclass(frozen=True)
 class GeneralCoverPrepared:
     """Everything the general policy reuses across trajectories."""
@@ -842,44 +863,20 @@ def run_general_cover_policy(
 ) -> Trajectory:
     """Pick one cover path uniformly, run the labeled width-1 policy on
     its contraction, and replay the walk on the real graph, expanding
-    artificial edges with their stored connectors.
-
-    Draw order per trial: realization (if not supplied), then the
-    uniform cover-path index, then the inner walk's draws.
-    """
-    if rng is None:
-        raise PolicyError("a random.Random must be supplied")
+    artificial edges with their stored connectors."""
     if prepared is None:
         prepared = prepare_general_cover(inst, cover)
-    if realization is None:
-        realization = sample_realization(inst, rng)
-    i = rng.randrange(prepared.width)
-    ci = prepared.contracted[i]
-    inner_real = project_realization(ci, inst, realization)
-    inner = run_width1_labeled(
-        ci.graph,
-        ci.focal,
-        probs=prepared.probs[i],
-        rng=rng,
-        oracle=prepared.oracles[i],
-        realization=inner_real,
-    )
-    real_edges: list[int] = []
-    for new_eid in inner.edges:
-        rec = ci.edges[new_eid]
-        real_edges.append(rec.original_id)
-        real_edges.extend(rec.connector)
-    value = stable_sum(realization.values[eid] for eid in real_edges)
-    if value < inner.value - 1e-9:
-        raise PolicyError("replayed walk lost value against its contracted run")
-    return Trajectory(
-        tuple(real_edges),
-        value,
-        inner.steps,
-        sub_index=i,
-        inner_value=inner.value,
-        inner_edges=inner.edges,
-    )
+    return general_cover_walk(inst, prepared).run(rng, realization)
+
+
+def general_cover_walk(inst: Instance, prepared: GeneralCoverPrepared) -> PolicyWalk:
+    """The general policy's sampler: a labeled walker on each cover
+    path's contraction, reading the realization of `inst`."""
+    walkers = [
+        FocalWalker(ci.graph, ci.focal, orc, OPT, probs, home=inst)
+        for ci, orc, probs in zip(prepared.contracted, prepared.oracles, prepared.probs)
+    ]
+    return PolicyWalk(inst, walkers, prepared.contracted)
 
 
 # ---------------------------------------------------------------------------
@@ -1030,14 +1027,11 @@ def run_disjoint_paths_policy(
     oracle = Oracle(inst) if oracle is None else oracle
     if plan is None:
         plan = build_disjoint_plan(inst, cover, oracle=oracle)
+    return disjoint_walk(inst, plan, oracle).run(rng, realization)
+
+
+def disjoint_walk(inst: Instance, plan: DisjointPlan, oracle: Oracle) -> PolicyWalk:
+    """The disjoint policy's sampler: the alpha-rule walker on strand i*."""
     sched = disjoint_schedule(inst, plan, oracle)
-    traj = run_modified_width1(
-        inst,
-        plan.cover.paths[plan.i_star],
-        sched,
-        plan.specs[plan.i_star],
-        rng,
-        oracle=oracle,
-        realization=realization,
-    )
-    return Trajectory(traj.edges, traj.value, traj.steps, sub_index=plan.i_star)
+    walker = FocalWalker(inst, sched.focal, oracle, plan.specs[plan.i_star], sched)
+    return PolicyWalk(inst, [walker], sub_index=plan.i_star)

@@ -21,18 +21,18 @@ from .errors import PolicyError
 from .model import Instance
 from .oracle import OPT, Oracle
 from .policies import (
+    FocalWalker,
+    PolicyWalk,
     Trajectory,
     alpha_schedule,
     build_disjoint_plan,
+    disjoint_walk,
     evaluate_focal_policy,
     exact_disjoint_value,
     exact_general_cover_value,
     feasibility_probabilities,
+    general_cover_walk,
     prepare_general_cover,
-    run_disjoint_paths_policy,
-    run_general_cover_policy,
-    run_modified_width1,
-    run_width1_labeled,
 )
 from .util import derive_seed, stable_sum
 
@@ -84,6 +84,7 @@ class _Prepared:
         else:
             raise ValueError(f"unknown policy {policy!r}; known: {', '.join(POLICIES)}")
         self.d = d
+        self._walk: PolicyWalk | None = None
 
     def exact_value(self) -> float:
         if self.policy == "width1":
@@ -96,24 +97,19 @@ class _Prepared:
             return exact_general_cover_value(self.prepared)[0]
         return exact_disjoint_value(self.inst, self.plan, self.oracle)
 
-    def run(self, rng: random.Random, realization=None) -> Trajectory:
-        if self.policy == "width1":
-            return run_modified_width1(
-                self.inst, self.focal, self.schedule, OPT, rng,
-                oracle=self.oracle, realization=realization,
-            )
-        if self.policy == "width1-labeled":
-            return run_width1_labeled(
-                self.inst, self.focal, probs=self.probs, rng=rng,
-                oracle=self.oracle, realization=realization,
-            )
+    def run(self, rng: random.Random, realization=None, record: bool = True) -> Trajectory:
+        """One trajectory; the sampler is compiled on the first call."""
+        if self._walk is None:
+            self._walk = self._compile()
+        return self._walk.run(rng, realization, record)
+
+    def _compile(self) -> PolicyWalk:
         if self.policy == "general":
-            return run_general_cover_policy(
-                self.inst, rng=rng, prepared=self.prepared, realization=realization
-            )
-        return run_disjoint_paths_policy(
-            self.inst, plan=self.plan, rng=rng, oracle=self.oracle, realization=realization
-        )
+            return general_cover_walk(self.inst, self.prepared)
+        if self.policy == "disjoint":
+            return disjoint_walk(self.inst, self.plan, self.oracle)
+        rule = self.schedule if self.policy == "width1" else self.probs
+        return PolicyWalk(self.inst, [FocalWalker(self.inst, self.focal, self.oracle, OPT, rule)])
 
     def params(self) -> dict[str, Any]:
         out: dict[str, Any] = {"width": self.width, "d": self.d}
@@ -186,11 +182,9 @@ def monte_carlo_estimate(
     realized = []
     for j in range(trials):
         rng = random.Random(derive_seed(seed, "traj", j))
-        traj = prep.run(rng)
+        traj = prep.run(rng, record=False)
         realized.append(traj.value)
         certified.append(traj.inner_value if traj.inner_value is not None else traj.value)
-    certified = [float(v) for v in certified]
-    realized = [float(v) for v in realized]
     mean = stable_sum(certified) / trials
     se = statistics.stdev(certified) / math.sqrt(trials) if trials > 1 else 0.0
     return PolicyRunReport(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -50,18 +51,30 @@ def derive_seed(master: int, *parts: object) -> int:
     return int.from_bytes(h.digest()[:8], "big")
 
 
-def weighted_index(weights: Sequence[float], u: float) -> int:
-    """Index i such that u falls in the i-th cumulative weight bucket.
-
-    `u` must lie in [0, 1); weights are assumed to sum to ~1.  Ties and
-    rounding drift resolve to the last positive-weight bucket.
-    """
+def cumulative(weights: Sequence[float]) -> tuple[list[float], int]:
+    """Sampling table for nonnegative weights summing to ~1: the float
+    running sums and the last positive-weight index (see `pick`)."""
     acc = 0.0
     last_positive = 0
+    cum = []
     for i, w in enumerate(weights):
         if w > 0:
             last_positive = i
         acc += w
-        if u < acc:
-            return i
-    return last_positive
+        cum.append(acc)
+    return cum, last_positive
+
+
+def pick(table: tuple[list[float], int], u: float) -> int:
+    """Index of the bucket that u in [0, 1) falls in; rounding drift past
+    the last sum resolves to the last positive-weight bucket."""
+    cum, last_positive = table
+    i = bisect_right(cum, u)
+    return i if i < len(cum) else last_positive
+
+
+def exact_threshold(a: float | Fraction) -> float:
+    """Smallest float t >= a, so that `c < t` equals `c < a` for every
+    float c; lets an exact acceptance probability be compared as a float."""
+    t = float(a)
+    return math.nextafter(t, math.inf) if t < a else t

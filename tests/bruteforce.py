@@ -236,3 +236,17 @@ def is_antichain(inst, nodes):
                 return False
             stack.extend(adj[w])
     return True
+
+
+def weighted_index(weights, u):
+    """Linear-scan weighted draw: the first bucket whose running sum
+    exceeds u in [0, 1), else the last positive-weight bucket."""
+    acc = 0.0
+    last_positive = 0
+    for i, w in enumerate(weights):
+        if w > 0:
+            last_positive = i
+        acc += w
+        if u < acc:
+            return i
+    return last_positive

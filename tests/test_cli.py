@@ -69,6 +69,38 @@ def test_other_commands_refuse_invalid_instance(tmp_path, capsys):
     assert err.startswith("error[validation]:")
 
 
+NON_FINITE_OR_BOOL = {
+    "nan-mass": '{"p": NaN, "values": {"0": 1}}',
+    "infinite-value": '{"p": 1, "values": {"0": Infinity}}',
+    "negative-infinite-value": '{"p": 1, "values": {"0": -Infinity}}',
+}
+
+
+@pytest.mark.parametrize("doc", sorted(NON_FINITE_OR_BOOL) + ["bool-capacity"])
+@pytest.mark.parametrize("command", ["opt", "validate"])
+def test_non_finite_numbers_and_boolean_capacities_exit_3(tmp_path, capsys, doc, command):
+    if doc == "bool-capacity":
+        text = (
+            '{"nodes": ["s", "t"], "labels": {"a": true},'
+            ' "edges": [{"src": "s", "dst": "t"}, {"src": "s", "dst": "t", "labels": ["a"]}],'
+            ' "outcomes": {"s": [{"p": 1, "values": {"0": 1, "1": 2}}]}}'
+        )
+    else:
+        text = (
+            '{"nodes": ["s", "t"], "edges": [{"src": "s", "dst": "t"}],'
+            f' "outcomes": {{"s": [{NON_FINITE_OR_BOOL[doc]}]}}}}'
+        )
+    path = tmp_path / "inst.json"
+    path.write_text(text)
+    code, out, err = run(capsys, [command, str(path)])
+    assert code == 3
+    if command == "validate" and doc == "bool-capacity":
+        assert out.splitlines() == ["invalid:", "  [bad-capacity] label 'a' has capacity True at a"]
+    else:
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error[validation]:")
+
+
 def test_missing_file_is_a_clean_error(capsys):
     code, _, err = run(capsys, ["opt", "/no/such/file.json"])
     assert code == 2

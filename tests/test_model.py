@@ -119,6 +119,25 @@ def test_validate_flags_unreachable_node():
     assert "unreachable" in codes(inst)
 
 
+@pytest.mark.parametrize(
+    "p, value",
+    [(float("nan"), 1.0), (1.0, float("nan")), (1.0, float("inf")), (1.0, float("-inf"))],
+)
+def test_validate_flags_non_finite_numbers(p, value):
+    inst = Instance.build(["s", "t"], [("s", "t", ())], outcomes={"s": [(p, {0: value})]})
+    assert "non-finite" in codes(inst)
+
+
+def test_validate_flags_boolean_capacity():
+    inst = Instance.build(
+        ["s", "t"],
+        [("s", "t", ()), ("s", "t", ("red",))],
+        labels={"red": True},
+        outcomes={"s": [(1.0, {0: 0.0, 1: 1.0})]},
+    )
+    assert "bad-capacity" in codes(inst)
+
+
 def test_raise_if_invalid():
     inst = Instance.build(["s", "a", "t"], [("s", "a", ()), ("a", "t", ())])
     with pytest.raises(InvalidInstanceError):

@@ -99,3 +99,18 @@ def test_policy_dispatch_rejects_unknown_and_wrong_width():
 def test_monte_carlo_rejects_bad_trials():
     with pytest.raises(ValueError):
         monte_carlo_estimate(width1_fuzz(0), "width1", trials=0, seed=1)
+
+
+def test_exact_reports_build_no_sampler(monkeypatch):
+    from pathprophet.oracle import Oracle
+    from pathprophet.policies import FocalWalker, PolicyWalk
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact mode built sampler tables")
+
+    monkeypatch.setattr(FocalWalker, "__init__", refuse)
+    monkeypatch.setattr(PolicyWalk, "__init__", refuse)
+    monkeypatch.setattr(Oracle, "choice_tables", refuse)
+    for policy in POLICIES:
+        rep = competitive_report(maker_for(policy)(4), policy)
+        assert rep.mode == "exact" and rep.bound_ok

@@ -1,0 +1,42 @@
+"""Sampling-table helpers: float tables must decide exactly as the
+exact arithmetic they replace."""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from bruteforce import weighted_index
+from pathprophet.util import cumulative, exact_threshold, pick
+
+unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=10**12)
+unit_floats = st.floats(min_value=0, max_value=1)
+
+
+@given(st.one_of(unit_fractions, unit_floats, st.just(1.0), st.floats(allow_nan=False)))
+@example(Fraction(1, 3))  # not dyadic: float(1/3) < 1/3
+@example(Fraction(2, 3))  # not dyadic: float(2/3) > 2/3
+def test_exact_threshold_decides_like_the_exact_value(a):
+    t = exact_threshold(a)
+    assert t >= a
+    f = float(a)
+    for c in (math.nextafter(f, -math.inf), f, math.nextafter(f, math.inf)):
+        assert (c < t) == (c < a)
+
+
+def test_exact_threshold_rounds_up_when_the_float_falls_short():
+    a = Fraction(1, 3)
+    assert float(a) < a
+    assert exact_threshold(a) == math.nextafter(float(a), math.inf)
+
+
+weights = st.lists(st.one_of(unit_fractions, unit_floats, st.just(0)), min_size=1, max_size=6)
+
+
+@given(weights, st.floats(min_value=0, max_value=1, exclude_max=True))
+@example([Fraction(1, 3), Fraction(1, 3), Fraction(1, 3), 0], 0.9999999999999999)
+def test_pick_matches_the_linear_scan(ws, u):
+    assert pick(cumulative(ws), u) == weighted_index(ws, u)
