@@ -45,8 +45,9 @@ from .oracle import (
     optimal_online_value,
     restricted_spec,
 )
-from .cover import PathCover, cover_from_paths, max_antichain_bruteforce, min_path_cover
+from .cover import PathCover, cover_from_paths, min_path_cover
 from .policies import (
+    POLICIES,
     AlphaSchedule,
     DisjointPlan,
     FocalPolicyExact,
@@ -58,6 +59,7 @@ from .policies import (
     exact_general_cover_value,
     feasibility_probabilities,
     prepare_general_cover,
+    prepare_policy,
     run_disjoint_paths_policy,
     run_general_cover_policy,
     run_width1_labeled,
@@ -69,7 +71,6 @@ from .instances import (
     paper_families,
 )
 from .simulate import (
-    POLICIES,
     CompetitiveReport,
     PolicyRunReport,
     competitive_report,
@@ -122,12 +123,12 @@ __all__ = [
     "instance_from_dict",
     "instance_to_dict",
     "load_instance",
-    "max_antichain_bruteforce",
     "min_path_cover",
     "monte_carlo_estimate",
     "optimal_online_value",
     "paper_families",
     "prepare_general_cover",
+    "prepare_policy",
     "realization_count",
     "restricted_spec",
     "run_disjoint_paths_policy",

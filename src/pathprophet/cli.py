@@ -33,7 +33,8 @@ from .model import (
     validate_instance,
 )
 from .oracle import Oracle
-from .simulate import POLICIES, _Prepared, competitive_report, monte_carlo_estimate
+from .policies import POLICIES, prepare_policy
+from .simulate import competitive_report
 from .util import derive_seed
 
 
@@ -209,8 +210,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     inst = _load_checked(args.instance)
     seed, generated = (args.seed, False) if args.seed is not None else (_fresh_seed(), True)
-    prep = _Prepared(inst, args.policy, None, args.cover_seed)
-    traj = prep.run(random.Random(derive_seed(seed, "traj", 0)))
+    walk = prepare_policy(inst, args.policy, None, args.cover_seed).sampler()
+    traj = walk.run(random.Random(derive_seed(seed, "traj", 0)))
     if args.json:
         _emit_json(
             {

@@ -1,11 +1,10 @@
 """Minimum source-to-sink path covers and graph width.
 
 The width of an instance is the smallest number of source-to-sink paths
-whose node sets together cover every node.  It equals the size of a
-largest antichain of the reachability order, and both sides are exposed
-here: `min_path_cover` builds an actual cover of that size, while
-`max_antichain_bruteforce` searches for a witness antichain directly so
-the two can be cross-checked on small graphs.
+whose node sets together cover every node; it equals the size of a
+largest antichain of the reachability order.  `min_path_cover` builds
+an actual cover of that size (the tests cross-check it against a
+brute-force antichain search on small graphs).
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import CoverError, StateCapError
+from .errors import CoverError
 from .model import Instance
 from .util import derive_seed
 
@@ -191,38 +190,3 @@ def cover_from_paths(inst: Instance, paths: list[list[int]] | tuple[tuple[int, .
     if covered != set(inst.nodes):
         raise CoverError("paths do not cover all nodes: missing " + ", ".join(sorted(set(inst.nodes) - covered)))
     return PathCover(tuple(out_paths), tuple(orders))
-
-
-def max_antichain_bruteforce(inst: Instance, node_cap: int = 20) -> tuple[str, ...]:
-    """A largest set of pairwise-unreachable nodes, found by search.
-
-    Exponential in the worst case; refuses graphs above node_cap.
-    """
-    n = len(inst.nodes)
-    if n > node_cap:
-        raise StateCapError(f"{n} nodes exceed brute-force cap {node_cap}")
-    reach = _reachability(inst)
-    comp = [0] * n  # comparability masks
-    for i in range(n):
-        for j in range(n):
-            if reach[i] >> j & 1:
-                comp[i] |= 1 << j
-                comp[j] |= 1 << i
-
-    best_mask = 0
-    best_size = 0
-
-    def extend(cand: int, chosen: int, size: int) -> None:
-        nonlocal best_mask, best_size
-        if size + bin(cand).count("1") <= best_size:
-            return
-        if not cand:
-            if size > best_size:
-                best_size, best_mask = size, chosen
-            return
-        v = (cand & -cand).bit_length() - 1
-        extend(cand & ~((1 << v) | comp[v]), chosen | (1 << v), size + 1)
-        extend(cand & ~(1 << v), chosen, size)
-
-    extend((1 << n) - 1, 0, 0)
-    return tuple(inst.nodes[i] for i in range(n) if best_mask >> i & 1)

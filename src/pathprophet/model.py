@@ -16,6 +16,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -373,27 +374,62 @@ def instance_to_dict(inst: Instance) -> dict[str, Any]:
     return d
 
 
+# exact types, so bool (a subclass of int) is not a number here
+_NUMBER_TYPES = frozenset({int, float, Fraction})
+
+
+def _names(v: Any) -> bool:
+    return isinstance(v, (list, tuple)) and all(isinstance(x, str) for x in v)
+
+
 def instance_from_dict(d: Mapping[str, Any]) -> Instance:
+    """Build an instance from its JSON document, checking the shape of
+    every field; a malformed document raises InvalidInstanceError."""
+    if not isinstance(d, Mapping):
+        raise InvalidInstanceError("an instance document must be a JSON object")
     try:
-        nodes = list(d["nodes"])
-        raw_edges = list(d["edges"])
-    except (KeyError, TypeError) as exc:
+        nodes = d["nodes"]
+        raw_edges = d["edges"]
+    except KeyError as exc:
         raise InvalidInstanceError(f"missing required field: {exc}") from exc
-    labels = dict(d.get("labels", {}))
+    if not _names(nodes):
+        raise InvalidInstanceError("nodes must be a list of node names (strings)")
+    if not isinstance(raw_edges, (list, tuple)):
+        raise InvalidInstanceError("edges must be a list of edge objects")
+    labels = d.get("labels", {})
+    if not isinstance(labels, dict):
+        raise InvalidInstanceError("labels must be an object of label capacities")
     edge_specs = []
     for i, re_ in enumerate(raw_edges):
+        if not isinstance(re_, dict):
+            raise InvalidInstanceError(f"edge {i} must be an object, got {re_!r}")
         if "id" in re_ and re_["id"] != i:
             raise InvalidInstanceError(f"edge ids must be dense and ordered, got {re_['id']} at {i}")
-        edge_specs.append((re_["src"], re_["dst"], re_.get("labels", ())))
+        src, dst, lbls = re_.get("src"), re_.get("dst"), re_.get("labels", ())
+        if not (isinstance(src, str) and isinstance(dst, str)):
+            raise InvalidInstanceError(f"edge {i} needs string src and dst")
+        if not _names(lbls):
+            raise InvalidInstanceError(f"edge {i}: labels must be a list of label names (strings)")
+        edge_specs.append((src, dst, lbls))
+    raw_outcomes = d.get("outcomes", {})
+    if not isinstance(raw_outcomes, dict):
+        raise InvalidInstanceError("outcomes must be an object mapping node names to lists of rows")
     outcomes = {}
-    for node, rows in dict(d.get("outcomes", {})).items():
+    for node, rows in raw_outcomes.items():
+        if not isinstance(rows, (list, tuple)):
+            raise InvalidInstanceError(f"outcomes of node {node!r} must be a list of rows")
         parsed = []
         for row in rows:
+            values = row.get("values") if isinstance(row, dict) else None
+            if not isinstance(values, dict):
+                raise InvalidInstanceError(f"bad outcome row for node {node!r}: need an object with p and values")
+            if not _NUMBER_TYPES.issuperset(map(type, [row.get("p"), *values.values()])):
+                raise InvalidInstanceError(f"bad outcome row for node {node!r}: p and values must be numbers")
             try:
-                vals = {int(k): float(v) for k, v in row["values"].items()}
-                parsed.append((float(row["p"]), vals))
-            except (KeyError, TypeError, ValueError) as exc:
+                vals = {int(k): float(v) for k, v in values.items()}
+            except ValueError as exc:
                 raise InvalidInstanceError(f"bad outcome row for node {node!r}: {exc}") from exc
+            parsed.append((float(row["p"]), vals))
         outcomes[node] = parsed
     return Instance.build(nodes, edge_specs, labels, outcomes, d.get("meta"))
 

@@ -241,7 +241,7 @@ class Oracle:
     def path_distribution(self, spec: OfflineSpec = OPT) -> dict[tuple[int, ...], float]:
         return dict(self._annotate(spec).paths)
 
-    # -- Monte Carlo fallbacks ----------------------------------------
+    # -- Monte Carlo fallback -----------------------------------------
 
     def expected_opt_mc(self, trials: int, seed: int, spec: OfflineSpec = OPT) -> float:
         terms = []
@@ -250,36 +250,6 @@ class Oracle:
             r = sample_realization(self.inst, rng)
             terms.append(self.opt_path(r, spec).value)
         return stable_sum(terms) / trials
-
-    def conditional_choice_distribution_mc(
-        self, node: str, outcome_idx: int, trials: int, seed: int, spec: OfflineSpec = OPT
-    ) -> dict[int | None, float]:
-        inst = self.inst
-        i = inst.node_index[node]
-        if not inst.tables[i]:
-            raise InvalidInstanceError(f"node {node!r} has no outcome table")
-        edge_src = {e.id: i for e in inst.out_edges[i]}
-        keys: list[int | None] = [e.id for e in inst.out_edges[i]]
-        keys.append(None)
-        tally: dict[int | None, int] = {k: 0 for k in keys}
-        for j in range(trials):
-            rng = random.Random(derive_seed(seed, "cond", node, outcome_idx, j))
-            r = sample_realization(inst, rng)
-            if r.choices[i] != outcome_idx:
-                forced = list(r.choices)
-                forced[i] = outcome_idx
-                values = list(r.values)
-                for eid, v in inst.tables[i][outcome_idx].values.items():
-                    values[eid] = v
-                r = Realization(tuple(forced), tuple(values), 0.0)
-            sel = self.opt_path(r, spec)
-            hit = None
-            for eid in sel.edges:
-                if eid in edge_src:
-                    hit = eid
-                    break
-            tally[hit] += 1
-        return {k: v / trials for k, v in tally.items()}
 
     # -- best fully-informed online walker -----------------------------
 

@@ -7,13 +7,19 @@ tentative edge with a carefully chosen probability.  The differences
 are in how the acceptance probability is set and in how a focal path
 is obtained on graphs wider than one path.
 
-The module provides two views of every policy:
+A prepared policy (`PreparedPolicy`) is a list of focal runs with its
+guarantee: one run on the instance for `width1`, `width1-labeled` and
+`disjoint`, one per cover path's contraction for `general`.
+`prepare_policy` builds it from a registry of one prepare function per
+name, which also gives `POLICIES`.
+
+The module provides two views of every focal run:
 
 * one sampler, `FocalWalker`, that walks one trajectory with an
   explicit `random.Random`; every `run_*` function and the staged Monte
   Carlo mode of `feasibility_probabilities` drive it.  Its float tables
-  are compiled once per prepared policy (`PolicyWalk`), on the first
-  trial, and never in exact mode.
+  are compiled by `PreparedPolicy.sampler` (a `PolicyWalk`), once per
+  Monte Carlo estimate, and never in exact mode.
 * an exact engine (`evaluate_focal_policy`) that pushes the full
   distribution of the walker's (position, label usage) state forward
   along the focal path, folding outcome tables and acceptance coins
@@ -40,7 +46,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .cover import PathCover, min_path_cover, shortest_unlabeled_path
 from .errors import CoverError, InvalidInstanceError, PolicyError, ScheduleError
@@ -561,7 +567,7 @@ class FocalWalker:
 
 
 class PolicyWalk:
-    """A policy's trajectory sampler, compiled once per prepared policy:
+    """A policy's trajectory sampler, compiled by one sampler call:
     per node of `inst` a float cumulative table over outcome masses,
     every edge value as an integer numerator over one common denominator
     (a walk's value is the float of its exact sum), and one walker per
@@ -620,6 +626,57 @@ class PolicyWalk:
         return Trajectory(tuple(edges), value, tuple(steps or ()), i, inner_value)
 
 
+# ---------------------------------------------------------------------------
+# prepared policies: lists of focal runs
+
+
+class FocalRun(NamedTuple):
+    """One focal walk of a policy: the graph it walks (the instance or a
+    contraction of it), its focal path, the oracle and offline spec whose
+    choice laws draw the tentatives, and the acceptance rule."""
+
+    graph: Instance
+    focal: tuple[int, ...]
+    oracle: Oracle
+    spec: OfflineSpec
+    rule: AlphaSchedule | FeasibilityProbs
+
+    def value(self) -> float:
+        """Exact expected value of the walk, by the forward engine."""
+        schedule = self.rule if isinstance(self.rule, AlphaSchedule) else None
+        return evaluate_focal_policy(
+            self.graph, self.focal, self.oracle, self.spec, self.rule.divisor, schedule
+        ).value
+
+
+@dataclass(frozen=True)
+class PreparedPolicy:
+    """A policy prepared on `inst`.  A trial walks one of `runs`, picked
+    uniformly when there are several, and replays a contracted run on
+    `inst` through `contracted`; the exact value is the mean of the
+    runs' exact values (for a general cover the certified value, which
+    leaves out the connectors' nonnegative pickups)."""
+
+    inst: Instance
+    oracle: Oracle  # of `inst`: the prophet the bound is measured against
+    runs: tuple[FocalRun, ...]
+    width: int
+    bound: float
+    bound_label: str
+    params: dict[str, Any]  # the policy's choices beyond width and d, for reports
+    contracted: tuple[ContractedInstance, ...] | None = None
+    sub_index: int | None = None  # the cover path every trial walks, if fixed
+
+    def exact_value(self) -> float:
+        return stable_sum(run.value() for run in self.runs) / len(self.runs)
+
+    def sampler(self) -> PolicyWalk:
+        """The trajectory sampler, compiled on each call; exact
+        evaluation never builds one."""
+        walkers = [FocalWalker(*run, home=self.inst) for run in self.runs]
+        return PolicyWalk(self.inst, walkers, self.contracted, self.sub_index)
+
+
 def run_modified_width1(
     inst: Instance,
     focal: Sequence[int],
@@ -641,19 +698,25 @@ def run_modified_width1(
     return PolicyWalk(inst, [walker]).run(rng, realization)
 
 
-def _require_covering_focal(inst: Instance, focal: Sequence[int] | None) -> tuple[int, ...]:
-    if focal is None:
-        cover = min_path_cover(inst)
-        if cover.width != 1:
-            raise PolicyError(
-                f"width-1 policy needs a single covering path; graph width is {cover.width}"
-            )
-        return cover.paths[0]
-    focal = tuple(focal)
-    order = path_nodes(inst, focal)
-    if set(order) != set(inst.nodes):
-        raise PolicyError("focal path must visit every node")
-    return focal
+def _covering_focal(
+    inst: Instance,
+    focal: Sequence[int] | None,
+    cover: PathCover | None = None,
+    cover_seed: int | None = None,
+) -> tuple[int, ...]:
+    """The path a width-1 policy walks: `focal`, checked to visit every
+    node, or else the single path of `cover` (default: a minimum cover)."""
+    if focal is not None:
+        focal = tuple(focal)
+        if set(path_nodes(inst, focal)) != set(inst.nodes):
+            raise PolicyError("focal path must visit every node")
+        return focal
+    cover = min_path_cover(inst, cover_seed) if cover is None else cover
+    if cover.width != 1:
+        raise PolicyError(
+            f"width-1 policy needs a single covering path; this cover has {cover.width} paths"
+        )
+    return cover.paths[0]
 
 
 def run_width1_unlabeled(
@@ -669,7 +732,7 @@ def run_width1_unlabeled(
     """Width-1 policy for unlabeled graphs: guarantees half the prophet."""
     spec = OPT if spec is None else spec
     oracle = Oracle(inst) if oracle is None else oracle
-    focal = _require_covering_focal(inst, focal)
+    focal = _covering_focal(inst, focal)
     if schedule is None:
         schedule = alpha_schedule(inst, focal, oracle.edge_probabilities(spec), 0)
     return run_modified_width1(
@@ -697,7 +760,7 @@ def run_width1_labeled(
     """
     oracle = Oracle(inst) if oracle is None else oracle
     spec = OPT if spec is None else spec
-    focal = _require_covering_focal(inst, focal)
+    focal = _covering_focal(inst, focal)
     if divisor is None:
         divisor = inst.max_labels_per_edge + 2
     if probs is None:
@@ -810,46 +873,32 @@ def build_contracted_instance(inst: Instance, cover: PathCover, index: int) -> C
     return ContractedInstance(graph, focal, tuple(records), index)
 
 
-@dataclass(frozen=True)
-class GeneralCoverPrepared:
-    """Everything the general policy reuses across trajectories."""
-
-    cover: PathCover
-    contracted: tuple[ContractedInstance, ...]
-    oracles: tuple[Oracle, ...]
-    probs: tuple[FeasibilityProbs, ...]
-
-    @property
-    def width(self) -> int:
-        return self.cover.width
-
-
 def prepare_general_cover(
     inst: Instance,
     cover: PathCover | None = None,
     *,
     cover_seed: int | None = None,
-) -> GeneralCoverPrepared:
+) -> PreparedPolicy:
+    """The general policy: one labeled width-1 run on each cover path's
+    contraction, picked uniformly per trial."""
     cover = min_path_cover(inst, cover_seed) if cover is None else cover
-    contracted = []
-    oracles = []
-    probs = []
-    for i in range(cover.width):
-        ci = build_contracted_instance(inst, cover, i)
+    contracted = tuple(build_contracted_instance(inst, cover, i) for i in range(cover.width))
+    runs = []
+    for ci in contracted:
         orc = Oracle(ci.graph)
-        contracted.append(ci)
-        oracles.append(orc)
-        probs.append(feasibility_probabilities(ci.graph, ci.focal, oracle=orc))
-    return GeneralCoverPrepared(cover, tuple(contracted), tuple(oracles), tuple(probs))
+        probs = feasibility_probabilities(ci.graph, ci.focal, oracle=orc)
+        runs.append(FocalRun(ci.graph, ci.focal, orc, OPT, probs))
+    bound = 1 / (cover.width * (inst.max_labels_per_edge + 2))
+    params = {"cover": [list(p) for p in cover.paths]}
+    return PreparedPolicy(
+        inst, Oracle(inst), tuple(runs), cover.width, bound, "1/(k(d+2))", params, contracted
+    )
 
 
-def exact_general_cover_value(prepared: GeneralCoverPrepared) -> tuple[float, tuple[float, ...]]:
+def exact_general_cover_value(prepared: PreparedPolicy) -> tuple[float, tuple[float, ...]]:
     """Certified expected value of the general policy: the mean of the
     k inner exact values (connector values are ignored, they only add)."""
-    inner = tuple(
-        evaluate_focal_policy(ci.graph, ci.focal, orc).value
-        for ci, orc in zip(prepared.contracted, prepared.oracles)
-    )
+    inner = tuple(run.value() for run in prepared.runs)
     return stable_sum(inner) / prepared.width, inner
 
 
@@ -858,7 +907,7 @@ def run_general_cover_policy(
     cover: PathCover | None = None,
     rng: random.Random | None = None,
     *,
-    prepared: GeneralCoverPrepared | None = None,
+    prepared: PreparedPolicy | None = None,
     realization: Realization | None = None,
 ) -> Trajectory:
     """Pick one cover path uniformly, run the labeled width-1 policy on
@@ -866,17 +915,7 @@ def run_general_cover_policy(
     artificial edges with their stored connectors."""
     if prepared is None:
         prepared = prepare_general_cover(inst, cover)
-    return general_cover_walk(inst, prepared).run(rng, realization)
-
-
-def general_cover_walk(inst: Instance, prepared: GeneralCoverPrepared) -> PolicyWalk:
-    """The general policy's sampler: a labeled walker on each cover
-    path's contraction, reading the realization of `inst`."""
-    walkers = [
-        FocalWalker(ci.graph, ci.focal, orc, OPT, probs, home=inst)
-        for ci, orc, probs in zip(prepared.contracted, prepared.oracles, prepared.probs)
-    ]
-    return PolicyWalk(inst, walkers, prepared.contracted)
+    return prepared.sampler().run(rng, realization)
 
 
 # ---------------------------------------------------------------------------
@@ -994,22 +1033,21 @@ def build_disjoint_plan(
     )
 
 
-def disjoint_schedule(inst: Instance, plan: DisjointPlan, oracle: Oracle) -> AlphaSchedule:
+def _disjoint_policy(inst: Instance, plan: DisjointPlan, oracle: Oracle) -> PreparedPolicy:
+    """The disjoint policy on a plan: the alpha rule with divisor 2 - q on
+    strand i*, against the strand-restricted baseline."""
     i = plan.i_star
-    return alpha_schedule(
-        inst,
-        plan.cover.paths[i],
-        oracle.edge_probabilities(plan.specs[i]),
-        plan.q[i],
-    )
+    spec = plan.specs[i]
+    schedule = alpha_schedule(inst, plan.cover.paths[i], oracle.edge_probabilities(spec), plan.q[i])
+    run = FocalRun(inst, schedule.focal, oracle, spec, schedule)
+    k = plan.cover.width
+    params = {"cover": [list(p) for p in plan.cover.paths], "strand": i, "q": plan.q[i]}
+    return PreparedPolicy(inst, oracle, (run,), k, 1 / (k + 1), "1/(k+1)", params, sub_index=i)
 
 
 def exact_disjoint_value(inst: Instance, plan: DisjointPlan, oracle: Oracle | None = None) -> float:
     oracle = Oracle(inst) if oracle is None else oracle
-    sched = disjoint_schedule(inst, plan, oracle)
-    return evaluate_focal_policy(
-        inst, plan.cover.paths[plan.i_star], oracle, plan.specs[plan.i_star], schedule=sched
-    ).value
+    return _disjoint_policy(inst, plan, oracle).exact_value()
 
 
 def run_disjoint_paths_policy(
@@ -1027,11 +1065,61 @@ def run_disjoint_paths_policy(
     oracle = Oracle(inst) if oracle is None else oracle
     if plan is None:
         plan = build_disjoint_plan(inst, cover, oracle=oracle)
-    return disjoint_walk(inst, plan, oracle).run(rng, realization)
+    return _disjoint_policy(inst, plan, oracle).sampler().run(rng, realization)
 
 
-def disjoint_walk(inst: Instance, plan: DisjointPlan, oracle: Oracle) -> PolicyWalk:
-    """The disjoint policy's sampler: the alpha-rule walker on strand i*."""
-    sched = disjoint_schedule(inst, plan, oracle)
-    walker = FocalWalker(inst, sched.focal, oracle, plan.specs[plan.i_star], sched)
-    return PolicyWalk(inst, [walker], sub_index=plan.i_star)
+# ---------------------------------------------------------------------------
+# the policy registry
+
+# Entries call prepare functions through this module's names, so a
+# wrapper installed on one of those names (as in perfbench) applies.
+
+
+def _width1(inst: Instance, cover: PathCover | None, cover_seed: int | None) -> PreparedPolicy:
+    oracle = Oracle(inst)
+    focal = _covering_focal(inst, None, cover, cover_seed)
+    schedule = alpha_schedule(inst, focal, oracle.edge_probabilities(OPT), 0)
+    run = FocalRun(inst, focal, oracle, OPT, schedule)
+    return PreparedPolicy(inst, oracle, (run,), 1, 0.5, "1/2", {"focal": list(focal)})
+
+
+def _width1_labeled(inst: Instance, cover: PathCover | None, cover_seed: int | None) -> PreparedPolicy:
+    oracle = Oracle(inst)
+    focal = _covering_focal(inst, None, cover, cover_seed)
+    probs = feasibility_probabilities(inst, focal, oracle=oracle)
+    run = FocalRun(inst, focal, oracle, OPT, probs)
+    bound = 1 / (inst.max_labels_per_edge + 2)
+    return PreparedPolicy(inst, oracle, (run,), 1, bound, "1/(d+2)", {"focal": list(focal)})
+
+
+def _general(inst: Instance, cover: PathCover | None, cover_seed: int | None) -> PreparedPolicy:
+    return prepare_general_cover(inst, cover, cover_seed=cover_seed)
+
+
+def _disjoint(inst: Instance, cover: PathCover | None, cover_seed: int | None) -> PreparedPolicy:
+    oracle = Oracle(inst)
+    plan = build_disjoint_plan(inst, cover, oracle=oracle, cover_seed=cover_seed)
+    return _disjoint_policy(inst, plan, oracle)
+
+
+_PREPARE = {
+    "width1": _width1,
+    "width1-labeled": _width1_labeled,
+    "general": _general,
+    "disjoint": _disjoint,
+}
+POLICIES = tuple(_PREPARE)
+
+
+def prepare_policy(
+    inst: Instance,
+    policy: str,
+    cover: PathCover | None = None,
+    cover_seed: int | None = None,
+) -> PreparedPolicy:
+    """Prepare a named policy on `inst`.  `cover` fixes the cover paths;
+    by default a minimum cover is drawn with `cover_seed`."""
+    prepare = _PREPARE.get(policy)
+    if prepare is None:
+        raise ValueError(f"unknown policy {policy!r}; known: {', '.join(POLICIES)}")
+    return prepare(inst, cover, cover_seed)

@@ -1,5 +1,8 @@
 """Exact evaluation, Monte Carlo estimation, and competitive reports.
 
+Each entry point takes a policy name and prepares it with
+`policies.prepare_policy`; this module only evaluates and reports.
+
 Monte Carlo runs are reproducible to the bit: trial j draws from
 random.Random seeded by derive_seed(master, "traj", j), so the same
 master seed always yields the same trajectories, mean, and standard
@@ -9,119 +12,16 @@ error, regardless of how many other runs happened in between.
 from __future__ import annotations
 
 import math
+import random
 import statistics
-import time
 from dataclasses import dataclass
 from typing import Any
 
-import random
-
-from .cover import PathCover, min_path_cover
+from .cover import PathCover
 from .errors import PolicyError
 from .model import Instance
-from .oracle import OPT, Oracle
-from .policies import (
-    FocalWalker,
-    PolicyWalk,
-    Trajectory,
-    alpha_schedule,
-    build_disjoint_plan,
-    disjoint_walk,
-    evaluate_focal_policy,
-    exact_disjoint_value,
-    exact_general_cover_value,
-    feasibility_probabilities,
-    general_cover_walk,
-    prepare_general_cover,
-)
+from .policies import PreparedPolicy, prepare_policy
 from .util import derive_seed, stable_sum
-
-POLICIES = ("width1", "width1-labeled", "general", "disjoint")
-
-
-class _Prepared:
-    """Per-(instance, policy) machinery shared by exact and MC paths."""
-
-    def __init__(
-        self,
-        inst: Instance,
-        policy: str,
-        cover: PathCover | None,
-        cover_seed: int | None,
-    ):
-        self.inst = inst
-        self.policy = policy
-        self.oracle = Oracle(inst)
-        d = inst.max_labels_per_edge
-        if policy in ("width1", "width1-labeled"):
-            cov = cover if cover is not None else min_path_cover(inst, cover_seed)
-            if cov.width != 1:
-                raise PolicyError(
-                    f"{policy} needs a width-1 instance; this cover has {cov.width} paths"
-                )
-            self.focal = cov.paths[0]
-            self.width = 1
-            if policy == "width1":
-                self.schedule = alpha_schedule(
-                    inst, self.focal, self.oracle.edge_probabilities(OPT), 0
-                )
-                self.bound = 0.5
-                self.bound_label = "1/2"
-            else:
-                self.probs = feasibility_probabilities(inst, self.focal, oracle=self.oracle)
-                self.bound = 1 / (d + 2)
-                self.bound_label = "1/(d+2)"
-        elif policy == "general":
-            self.prepared = prepare_general_cover(inst, cover, cover_seed=cover_seed)
-            self.width = self.prepared.width
-            self.bound = 1 / (self.width * (d + 2))
-            self.bound_label = "1/(k(d+2))"
-        elif policy == "disjoint":
-            self.plan = build_disjoint_plan(inst, cover, oracle=self.oracle, cover_seed=cover_seed)
-            self.width = self.plan.cover.width
-            self.bound = 1 / (self.width + 1)
-            self.bound_label = "1/(k+1)"
-        else:
-            raise ValueError(f"unknown policy {policy!r}; known: {', '.join(POLICIES)}")
-        self.d = d
-        self._walk: PolicyWalk | None = None
-
-    def exact_value(self) -> float:
-        if self.policy == "width1":
-            return evaluate_focal_policy(
-                self.inst, self.focal, self.oracle, schedule=self.schedule
-            ).value
-        if self.policy == "width1-labeled":
-            return evaluate_focal_policy(self.inst, self.focal, self.oracle).value
-        if self.policy == "general":
-            return exact_general_cover_value(self.prepared)[0]
-        return exact_disjoint_value(self.inst, self.plan, self.oracle)
-
-    def run(self, rng: random.Random, realization=None, record: bool = True) -> Trajectory:
-        """One trajectory; the sampler is compiled on the first call."""
-        if self._walk is None:
-            self._walk = self._compile()
-        return self._walk.run(rng, realization, record)
-
-    def _compile(self) -> PolicyWalk:
-        if self.policy == "general":
-            return general_cover_walk(self.inst, self.prepared)
-        if self.policy == "disjoint":
-            return disjoint_walk(self.inst, self.plan, self.oracle)
-        rule = self.schedule if self.policy == "width1" else self.probs
-        return PolicyWalk(self.inst, [FocalWalker(self.inst, self.focal, self.oracle, OPT, rule)])
-
-    def params(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"width": self.width, "d": self.d}
-        if self.policy in ("width1", "width1-labeled"):
-            out["focal"] = list(self.focal)
-        elif self.policy == "general":
-            out["cover"] = [list(p) for p in self.prepared.cover.paths]
-        else:
-            out["cover"] = [list(p) for p in self.plan.cover.paths]
-            out["strand"] = self.plan.i_star
-            out["q"] = self.plan.q[self.plan.i_star]
-        return out
 
 
 def exact_policy_value(
@@ -133,7 +33,7 @@ def exact_policy_value(
     """Exact expected value of a policy.  For the general policy this
     is the certified value: the mean of the k contracted runs, which
     ignores (nonnegative) connector pickups during replay."""
-    return _Prepared(inst, policy, cover, cover_seed).exact_value()
+    return prepare_policy(inst, policy, cover, cover_seed).exact_value()
 
 
 @dataclass(frozen=True)
@@ -166,7 +66,7 @@ def monte_carlo_estimate(
     cover: PathCover | None = None,
     cover_seed: int | None = None,
     *,
-    prepared: "_Prepared | None" = None,
+    prepared: PreparedPolicy | None = None,
 ) -> PolicyRunReport:
     """Estimate a policy's expected value from independent trajectories.
 
@@ -177,12 +77,13 @@ def monte_carlo_estimate(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    prep = prepared if prepared is not None else _Prepared(inst, policy, cover, cover_seed)
+    prep = prepared if prepared is not None else prepare_policy(inst, policy, cover, cover_seed)
+    walk = prep.sampler()
     certified = []
     realized = []
     for j in range(trials):
         rng = random.Random(derive_seed(seed, "traj", j))
-        traj = prep.run(rng, record=False)
+        traj = walk.run(rng, record=False)
         realized.append(traj.value)
         certified.append(traj.inner_value if traj.inner_value is not None else traj.value)
     mean = stable_sum(certified) / trials
@@ -217,7 +118,6 @@ class CompetitiveReport:
     seed: int | None = None
     std_err: float | None = None
     realized_mean: float | None = None
-    wall_clock: float = 0.0  # informational; excluded from reproducibility
 
     def to_dict(self) -> dict[str, Any]:
         out = {
@@ -257,8 +157,7 @@ def competitive_report(
     """Bundle E(ALG) against E(OPT), the policy's guarantee, and a
     pass/fail flag.  Exact mode checks e_alg >= bound * e_opt - 1e-9;
     MC mode grants the estimate four standard errors of slack."""
-    start = time.perf_counter()
-    prep = _Prepared(inst, policy, cover, cover_seed)
+    prep = prepare_policy(inst, policy, cover, cover_seed)
     e_opt = float(prep.oracle.expected_opt())
     run_report = None
     if mode == "exact":
@@ -280,6 +179,7 @@ def competitive_report(
         raise PolicyError(f"exact ratio {ratio:.12g} exceeds 1; evaluation is inconsistent")
     slack = 1e-9 if mode == "exact" else 4 * (std_err or 0.0) + 1e-9
     bound_ok = e_alg >= prep.bound * e_opt - slack
+    d = inst.max_labels_per_edge
     return CompetitiveReport(
         policy=policy,
         mode=mode,
@@ -290,12 +190,11 @@ def competitive_report(
         bound_label=prep.bound_label,
         bound_ok=bound_ok,
         width=prep.width,
-        d=prep.d,
-        params=prep.params(),
+        d=d,
+        params={"width": prep.width, "d": d, **prep.params},
         online_opt=online,
         trials=trials if mode == "mc" else None,
         seed=seed if mode == "mc" else None,
         std_err=std_err,
         realized_mean=realized,
-        wall_clock=time.perf_counter() - start,
     )

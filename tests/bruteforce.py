@@ -1,15 +1,23 @@
 """Slow reference implementations used only by the tests.
 
 Everything here enumerates explicitly (realizations, paths, branches of
-a policy's coin tree) and shares no code with the package's fast paths,
-so agreement between the two is meaningful.  Meant for instances with a
-handful of nodes.
+a policy's coin tree, antichains) and shares no code with the package's
+fast paths, so agreement between the two is meaningful.  The one
+exception is the Monte Carlo conditional choice law, which samples
+realizations and scores them with the package's per-realization
+selection (`Oracle.opt_path`) to check the exact conditional laws.
+Meant for instances with a handful of nodes.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from collections import defaultdict
+
+from pathprophet import Realization, StateCapError, sample_realization
+from pathprophet.oracle import OPT
+from pathprophet.util import derive_seed
 
 
 def iter_realizations(inst):
@@ -236,6 +244,74 @@ def is_antichain(inst, nodes):
                 return False
             stack.extend(adj[w])
     return True
+
+
+def max_antichain_bruteforce(inst, node_cap=20):
+    """A largest set of pairwise-unreachable nodes, found by search.
+
+    Exponential in the worst case; refuses graphs above node_cap.
+    """
+    n = len(inst.nodes)
+    if n > node_cap:
+        raise StateCapError(f"{n} nodes exceed brute-force cap {node_cap}")
+    idx = inst.node_index
+    adj = [[] for _ in range(n)]
+    for e in inst.edges:
+        adj[idx[e.src]].append(idx[e.dst])
+    comp = [0] * n  # comparability masks
+    for i in range(n):
+        seen = set()
+        stack = list(adj[i])
+        while stack:
+            j = stack.pop()
+            if j not in seen:
+                seen.add(j)
+                comp[i] |= 1 << j
+                comp[j] |= 1 << i
+                stack.extend(adj[j])
+
+    best_mask = 0
+    best_size = 0
+
+    def extend(cand, chosen, size):
+        nonlocal best_mask, best_size
+        if size + bin(cand).count("1") <= best_size:
+            return
+        if not cand:
+            if size > best_size:
+                best_size, best_mask = size, chosen
+            return
+        v = (cand & -cand).bit_length() - 1
+        extend(cand & ~((1 << v) | comp[v]), chosen | (1 << v), size + 1)
+        extend(cand & ~(1 << v), chosen, size)
+
+    extend((1 << n) - 1, 0, 0)
+    return tuple(inst.nodes[i] for i in range(n) if best_mask >> i & 1)
+
+
+def conditional_choice_distribution_mc(oracle, node, outcome_idx, trials, seed, spec=OPT):
+    """Monte Carlo estimate of the offline baseline's choice law at
+    `node` given its outcome: sampled realizations with that node's
+    outcome forced, tallied by the baseline's edge out of `node` (None
+    when its path does not pass there)."""
+    inst = oracle.inst
+    i = inst.node_index[node]
+    edge_src = {e.id for e in inst.out_edges[i]}
+    tally = {e.id: 0 for e in inst.out_edges[i]}
+    tally[None] = 0
+    for j in range(trials):
+        rng = random.Random(derive_seed(seed, "cond", node, outcome_idx, j))
+        r = sample_realization(inst, rng)
+        if r.choices[i] != outcome_idx:
+            forced = list(r.choices)
+            forced[i] = outcome_idx
+            values = list(r.values)
+            for eid, v in inst.tables[i][outcome_idx].values.items():
+                values[eid] = v
+            r = Realization(tuple(forced), tuple(values), 0.0)
+        sel = oracle.opt_path(r, spec)
+        tally[next((eid for eid in sel.edges if eid in edge_src), None)] += 1
+    return {k: v / trials for k, v in tally.items()}
 
 
 def weighted_index(weights, u):

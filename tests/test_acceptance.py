@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 
-from bruteforce import closed_cuts, policy_tree, offline_statistics
+from bruteforce import closed_cuts, max_antichain_bruteforce, policy_tree, offline_statistics
 from conftest import dag_fuzz, labeled_fuzz, strands_fuzz, width1_fuzz
 from pathprophet import (
     Oracle,
@@ -20,7 +20,6 @@ from pathprophet import (
     exact_general_cover_value,
     feasibility_probabilities,
     generate_random_instance,
-    max_antichain_bruteforce,
     min_path_cover,
     prepare_general_cover,
 )

@@ -302,3 +302,33 @@ def test_trace_value_matches_first_mc_trial(tmp_path, capsys):
         set(step) == {"node", "outcome", "tentative", "feasible", "coin", "taken"}
         for step in obj["steps"]
     )
+
+
+ROW = '{"p": 1, "values": {"0": 1}}'
+MALFORMED = {
+    "edge-without-src": '{"nodes": ["s", "t"], "edges": [{"dst": "t"}]}',
+    "non-object-edge": '{"nodes": ["s", "t"], "edges": [7]}',
+    "list-node-name": '{"nodes": [["s"], "t"], "edges": [{"src": "s", "dst": "t"}]}',
+    "string-nodes": '{"nodes": "st", "edges": [{"src": "s", "dst": "t"}], "outcomes": {"s": [%s]}}' % ROW,
+    "string-edge-labels": (
+        '{"nodes": ["s", "t"], "labels": {"a": 1, "b": 1},'
+        ' "edges": [{"src": "s", "dst": "t"}, {"src": "s", "dst": "t", "labels": "ab"}],'
+        ' "outcomes": {"s": [{"p": 1, "values": {"0": 1, "1": 2}}]}}'
+    ),
+    "list-labels": '{"nodes": ["s", "t"], "labels": [], "edges": [{"src": "s", "dst": "t"}], "outcomes": {"s": [%s]}}' % ROW,
+    "string-mass": '{"nodes": ["s", "t"], "edges": [{"src": "s", "dst": "t"}], "outcomes": {"s": [{"p": "1", "values": {"0": 1}}]}}',
+    "bool-value": '{"nodes": ["s", "t"], "edges": [{"src": "s", "dst": "t"}], "outcomes": {"s": [{"p": 1, "values": {"0": true}}]}}',
+    "outcomes-list": '{"nodes": ["s", "t"], "edges": [{"src": "s", "dst": "t"}], "outcomes": [%s]}' % ROW,
+}
+
+
+@pytest.mark.parametrize("doc", sorted(MALFORMED))
+@pytest.mark.parametrize("command", ["opt", "validate"])
+def test_malformed_documents_exit_3_with_one_line(tmp_path, capsys, doc, command):
+    path = tmp_path / "inst.json"
+    path.write_text(MALFORMED[doc])
+    code, out, err = run(capsys, [command, str(path)])
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error[validation]:")
+    assert "'p'" not in err

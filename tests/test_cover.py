@@ -10,12 +10,11 @@ from pathprophet import (
     CoverError,
     generate_paper_instance,
     generate_random_instance,
-    max_antichain_bruteforce,
     min_path_cover,
 )
 from pathprophet.cover import cover_from_paths, shortest_unlabeled_path
 
-from bruteforce import is_antichain
+from bruteforce import is_antichain, max_antichain_bruteforce
 from conftest import dag_fuzz, diamond, strands_fuzz, width1_fuzz
 
 

@@ -20,6 +20,7 @@ from pathprophet.oracle import OPT
 from bruteforce import (
     all_feasible_paths,
     best_feasible_path,
+    conditional_choice_distribution_mc,
     iter_realizations,
     offline_statistics,
 )
@@ -116,7 +117,7 @@ def test_conditional_choice_distribution_mc_close():
     orc = Oracle(inst)
     node = inst.nodes[0]
     exact = orc.conditional_choice_distribution(node, 0)
-    est = orc.conditional_choice_distribution_mc(node, 0, trials=4000, seed=3)
+    est = conditional_choice_distribution_mc(orc, node, 0, trials=4000, seed=3)
     for key, p in exact.items():
         se = math.sqrt(p * (1 - p) / 4000)
         assert abs(est.get(key, 0) - p) <= 4 * se + 1e-9

@@ -114,3 +114,32 @@ def test_exact_reports_build_no_sampler(monkeypatch):
     for policy in POLICIES:
         rep = competitive_report(maker_for(policy)(4), policy)
         assert rep.mode == "exact" and rep.bound_ok
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"mode": "mc", "trials": 200, "seed": 3}])
+def test_identical_competitive_reports_are_equal(kwargs):
+    inst = dag_fuzz(5)
+    assert competitive_report(inst, "general", **kwargs) == competitive_report(inst, "general", **kwargs)
+
+
+# generated before the policy registry replaced the per-name dispatch
+PINNED_PARAMS = {
+    "width1": (width1_fuzz(3), {"width": 1, "d": 0, "focal": [0, 1, 2, 3, 4, 5]}),
+    "width1-labeled": (labeled_fuzz(3), {"width": 1, "d": 2, "focal": [0, 1, 2, 3, 4, 5]}),
+    "general": (dag_fuzz(7), {"width": 3, "d": 1, "cover": [[0, 2, 8], [1, 6, 9], [0, 4, 10]]}),
+    "disjoint": (
+        strands_fuzz(7),
+        {"width": 3, "d": 0, "cover": [[0, 1, 2], [4, 5, 6], [8, 9]], "strand": 1, "q": 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_report_params_are_pinned(policy):
+    inst, want = PINNED_PARAMS[policy]
+    assert competitive_report(inst, policy).to_dict()["params"] == want
+
+
+def test_unknown_policy_lists_the_known_names():
+    with pytest.raises(ValueError, match="known: width1, width1-labeled, general, disjoint"):
+        exact_policy_value(width1_fuzz(0), "nope")
