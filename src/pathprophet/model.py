@@ -320,14 +320,21 @@ def _fill_values(inst: Instance, choices: Sequence[int]) -> tuple[float, ...]:
     return tuple(values)
 
 
-def enumerate_realizations(inst: Instance, cap: int | None = None) -> list[Realization]:
-    """All joint realizations in deterministic (node-major) order."""
+def enumeration_size(inst: Instance, cap: int | None = None) -> int:
+    """`realization_count`, refused with EnumerationCapError above `cap`
+    (default: `default_enum_cap()`)."""
     cap = default_enum_cap() if cap is None else cap
     count = realization_count(inst)
     if count > cap:
         raise EnumerationCapError(
             f"{count} realizations exceed cap {cap}; enumeration too large, use Monte Carlo"
         )
+    return count
+
+
+def enumerate_realizations(inst: Instance, cap: int | None = None) -> list[Realization]:
+    """All joint realizations in deterministic (node-major) order."""
+    enumeration_size(inst, cap)
     ranges = [range(len(t)) if t else range(1) for t in inst.tables]
     out = []
     for choices in itertools.product(*ranges):
@@ -431,7 +438,10 @@ def instance_from_dict(d: Mapping[str, Any]) -> Instance:
                 raise InvalidInstanceError(f"bad outcome row for node {node!r}: {exc}") from exc
             parsed.append((float(row["p"]), vals))
         outcomes[node] = parsed
-    return Instance.build(nodes, edge_specs, labels, outcomes, d.get("meta"))
+    meta = d.get("meta")
+    if meta is not None and not isinstance(meta, dict):
+        raise InvalidInstanceError(f"meta must be an object, got {type(meta).__name__}")
+    return Instance.build(nodes, edge_specs, labels, outcomes, meta)
 
 
 def _reject_constant(name: str) -> float:

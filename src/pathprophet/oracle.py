@@ -8,25 +8,48 @@ computes expected values, per-edge selection probabilities, and the
 choice distribution at a node conditioned on that node's outcome.  It
 also computes the value of the best fully-informed online walker by
 backward induction.
+
+Exact statistics take one shared pass per oracle and one accumulation
+per offline spec; no list of realizations is ever built.
+
+* The shared pass runs the best-path DP (`_BestPathDP`) once per
+  realization suffix.  Row i of the DP depends only on the outcomes at
+  nodes i..n-1, so the pass walks the realizations with an odometer
+  whose fastest digit is the lowest-index node with an outcome table:
+  a step that moves node h recomputes rows h..0 and keeps the rows
+  above.  It stores each realization's unrestricted best path as one
+  interned path id in a flat array (8 bytes per realization), indexed
+  by the realization's position in node-major `itertools.product`
+  order, the order of `model.enumerate_realizations`.  That result does
+  not depend on the spec, so every spec shares it.
+* Per spec, the accumulation walks the realizations in that product
+  order, maps each distinct path id through the spec, and adds each
+  realization's mass `1 * p_0 * p_1 * ...` to its buckets (expected
+  value, `x`, path law, conditional laws) with the same operations in
+  the same order as a per-realization loop, so float statistics are
+  bit-identical to that loop and `Fraction` statistics stay exact.
+
+`opt_path` scores one given realization with the same DP rows.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
+from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
-from .errors import InvalidInstanceError, StateCapError
+from .errors import InvalidInstanceError
 from .model import (
     Instance,
     Realization,
     active_label_caps,
-    enumerate_realizations,
+    enumeration_size,
     sample_realization,
 )
-from .util import DEFAULT_STATE_CAP, cumulative, derive_seed, stable_sum
+from .util import check_state_cap, cumulative, derive_seed, stable_sum
 
 
 @dataclass(frozen=True)
@@ -41,6 +64,15 @@ class OfflineSpec:
     kind: str = "opt"
     allowed: frozenset[int] | None = None
     fallback: tuple[int, ...] | None = None
+
+    def select(self, best: tuple[int, ...]) -> tuple[int, ...]:
+        """The spec's path in a realization whose unrestricted best path
+        is `best`."""
+        if self.kind == "restricted":
+            return best if self.allowed.issuperset(best) else self.fallback
+        if self.kind != "opt":
+            raise ValueError(f"unknown offline spec kind {self.kind!r}")
+        return best
 
 
 OPT = OfflineSpec()
@@ -78,92 +110,179 @@ class _SpecData:
     tables: dict[int, list[tuple[list[float], int]]] | None = None
 
 
+class _BestPathDP:
+    """Best-path rows over (node, remaining label capacity).
+
+    A capacity state is a mixed-radix index over the binding labels'
+    remaining capacities; `full`, the last index, has every label at
+    capacity.  Row i holds per state the best value from node i to the
+    sink, or None when the sink is out of reach, and an interned path
+    id.  A value is `values[e] + best[dst]` and ties keep the lower edge
+    id (strict `>` over ascending ids), so the source's path is the
+    lexicographically smallest best one.  The label transitions (`out`:
+    the child state per edge and state) and every node's edge values per
+    outcome (`values`) are built once; the online DP reads them too.
+    Callers check the state count first.
+    """
+
+    def __init__(self, inst: Instance, active_labels: tuple[tuple[str, int], ...]):
+        digit: dict[str, tuple[int, int]] = {}  # label -> (stride, radix)
+        n_states = 1
+        for lbl, cap in reversed(active_labels):
+            digit[lbl] = (n_states, cap + 1)
+            n_states *= cap + 1
+        self.n_states = n_states
+        self.full = n_states - 1
+        # out[i]: (edge id, dst index, child state per state or None for
+        # an edge that uses no binding label), ascending edge id
+        self.out: list[tuple[tuple[int, int, tuple[int | None, ...] | None], ...]] = []
+        # values[i][o]: node i's edge values in outcome o, aligned with out[i]
+        self.values: list[list[tuple[float, ...]]] = []
+        for i, edges in enumerate(inst.out_edges):
+            row = []
+            for e in edges:
+                j = inst.node_index[e.dst]
+                if j <= i:  # against node order (validation refuses it): on no path the DP builds
+                    continue
+                need = [digit[lbl] for lbl in e.labels if lbl in digit]
+                trans = None
+                if need:
+                    drop = sum(s for s, _ in need)
+                    trans = tuple(
+                        st - drop if all(st // s % r for s, r in need) else None for st in range(n_states)
+                    )
+                row.append((e.id, j, trans))
+            self.out.append(tuple(row))
+            self.values.append(
+                [tuple(o.values.get(eid, 0.0) for eid, _, _ in row) for o in inst.tables[i]] or [(0.0,) * len(row)]
+            )
+        # path id -> (first edge id, id of the rest); id 0 is the empty path
+        self.links: list[tuple[int, int] | None] = [None]
+        self._ids: dict[tuple[int, int], int] = {}
+
+    def fresh_rows(self) -> tuple[list, list]:
+        """Value and path-id rows with only the sink's filled in."""
+        n = len(self.out)
+        vrows: list = [None] * n
+        prows: list = [None] * n
+        vrows[-1] = [0] * self.n_states  # int 0 keeps Fraction values exact
+        prows[-1] = [0] * self.n_states
+        return vrows, prows
+
+    def row(self, i: int, vals: Sequence[float], vrows: list, prows: list) -> None:
+        """Recompute row i from node i's edge values, aligned with
+        `out[i]`, and the rows of later nodes."""
+        edges = self.out[i]
+        ids = self._ids
+        best_v: list = [None] * self.n_states
+        best_p = [0] * self.n_states
+        for s in range(self.n_states):
+            bv = None
+            for (eid, j, trans), v in zip(edges, vals):
+                c = s if trans is None else trans[s]
+                if c is None:
+                    continue
+                sub = vrows[j][c]
+                if sub is None:
+                    continue
+                w = v + sub
+                if bv is None or w > bv:
+                    bv, be, bj, bc = w, eid, j, c
+            if bv is not None:
+                key = (be, prows[bj][bc])
+                pid = ids.get(key)
+                if pid is None:
+                    pid = ids[key] = len(self.links)
+                    self.links.append(key)
+                best_v[s], best_p[s] = bv, pid
+        vrows[i], prows[i] = best_v, best_p
+
+    def source_id(self, vrows: list, prows: list) -> int:
+        if vrows[0][self.full] is None:
+            where = " within label capacities" if self.n_states > 1 else ""
+            raise InvalidInstanceError("source cannot reach sink" + where)
+        return prows[0][self.full]
+
+    def path(self, pid: int) -> tuple[int, ...]:
+        edges = []
+        while pid:
+            eid, pid = self.links[pid]
+            edges.append(eid)
+        return tuple(edges)
+
+
 class Oracle:
-    """Per-instance cache of realizations and offline-path statistics."""
+    """Per-instance cache of the best path per realization and of the
+    offline-path statistics per spec."""
 
     def __init__(self, inst: Instance, enum_cap: int | None = None):
         self.inst = inst
         self.enum_cap = enum_cap
-        self._realizations: list[Realization] | None = None
         self._specs: dict[OfflineSpec, _SpecData] = {}
         self.active_labels = active_label_caps(inst)
-        self._active_pos = {lbl: i for i, (lbl, _) in enumerate(self.active_labels)}
+
+    @cached_property
+    def _dp(self) -> _BestPathDP:
+        check_state_cap(len(self.inst.nodes), [cap for _, cap in self.active_labels], "label-budget")
+        return _BestPathDP(self.inst, self.active_labels)
 
     # -- per-realization selection ------------------------------------
 
-    @property
-    def realizations(self) -> list[Realization]:
-        if self._realizations is None:
-            self._realizations = enumerate_realizations(self.inst, self.enum_cap)
-        return self._realizations
-
-    def _selection_for(self, edges: tuple[int, ...], values: Sequence[float]) -> PathSelection:
+    def opt_path(self, realization: Realization, spec: OfflineSpec = OPT) -> PathSelection:
+        dp = self._dp
+        values = realization.values
+        vrows, prows = dp.fresh_rows()
+        for i in range(len(dp.out) - 2, -1, -1):
+            dp.row(i, [values[eid] for eid, _, _ in dp.out[i]], vrows, prows)
+        edges = spec.select(dp.path(dp.source_id(vrows, prows)))
         usage = Counter()
         for eid in edges:
             usage.update(self.inst.edges[eid].labels)
-        value = stable_sum(values[eid] for eid in edges)
-        return PathSelection(edges, value, dict(usage))
+        return PathSelection(edges, stable_sum(values[eid] for eid in edges), dict(usage))
 
-    def _best_unrestricted(self, values: Sequence[float]) -> tuple[int, ...]:
-        inst = self.inst
-        n = len(inst.nodes)
-        if not self.active_labels:
-            best_val: list[float | None] = [None] * n
-            best_path: list[tuple[int, ...]] = [()] * n
-            best_val[n - 1] = 0  # int literal keeps Fraction values exact
-            for i in range(n - 2, -1, -1):
-                bv = None
-                bp: tuple[int, ...] = ()
-                for e in inst.out_edges[i]:  # ascending id, so ties keep lex-min
-                    j = inst.node_index[e.dst]
-                    if best_val[j] is None:
-                        continue
-                    w = values[e.id] + best_val[j]
-                    if bv is None or w > bv:
-                        bv, bp = w, (e.id,) + best_path[j]
-                best_val[i], best_path[i] = bv, bp
-            if best_val[0] is None:
-                raise InvalidInstanceError("source cannot reach sink")
-            return best_path[0]
-
-        caps = tuple(cap for _, cap in self.active_labels)
-        ranges = [range(c + 1) for c in caps]
-        # best[i][remaining] = (value, edge ids) from node i with that much capacity left
-        best: list[dict[tuple[int, ...], tuple[float, tuple[int, ...]] | None]] = [
-            {} for _ in range(n)
-        ]
-        for rem in itertools.product(*ranges):
-            best[n - 1][rem] = (0, ())
+    @cached_property
+    def _best_ids(self) -> array:
+        """The shared pass: each realization's unrestricted best path id,
+        indexed by its position in node-major product order."""
+        count = enumeration_size(self.inst, self.enum_cap)
+        dp = self._dp
+        n = len(dp.out)
+        tables = self.inst.tables
+        # (node, outcome count, stride in product order) per odometer digit;
+        # nodes with a single outcome never move and are left out
+        digits = []
+        stride = 1
+        for i in range(n - 1, -1, -1):
+            if len(tables[i]) > 1:
+                digits.append((i, len(tables[i]), stride))
+            if tables[i]:
+                stride *= len(tables[i])
+        digits.reverse()
+        ids = array("q", [0]) * count
+        vals = [v[0] for v in dp.values]
+        vrows, prows = dp.fresh_rows()
         for i in range(n - 2, -1, -1):
-            for rem in itertools.product(*ranges):
-                cand = None
-                for e in inst.out_edges[i]:
-                    need = [self._active_pos[lbl] for lbl in e.labels if lbl in self._active_pos]
-                    if any(rem[k] == 0 for k in need):
-                        continue
-                    child = list(rem)
-                    for k in need:
-                        child[k] -= 1
-                    sub = best[inst.node_index[e.dst]][tuple(child)]
-                    if sub is None:
-                        continue
-                    w = values[e.id] + sub[0]
-                    if cand is None or w > cand[0]:
-                        cand = (w, (e.id,) + sub[1])
-                best[i][rem] = cand
-        top = best[0][caps]
-        if top is None:
-            raise InvalidInstanceError("source cannot reach sink within label capacities")
-        return top[1]
-
-    def opt_path(self, realization: Realization, spec: OfflineSpec = OPT) -> PathSelection:
-        edges = self._best_unrestricted(realization.values)
-        if spec.kind == "restricted":
-            if not set(edges) <= spec.allowed:
-                edges = spec.fallback
-        elif spec.kind != "opt":
-            raise ValueError(f"unknown offline spec kind {spec.kind!r}")
-        return self._selection_for(edges, realization.values)
+            dp.row(i, vals[i], vrows, prows)
+        dp.source_id(vrows, prows)  # reachability does not depend on the values
+        full = dp.full
+        at = [0] * len(digits)
+        pos = 0
+        while True:
+            ids[pos] = prows[0][full]
+            # next realization: the lowest-index node moves fastest
+            for k, (i, size, stride) in enumerate(digits):
+                if at[k] + 1 < size:
+                    break
+                pos -= at[k] * stride
+                at[k] = 0
+                vals[i] = dp.values[i][0]
+            else:
+                return ids
+            at[k] += 1
+            pos += stride
+            vals[i] = dp.values[i][at[k]]
+            for h in range(min(i, n - 2), -1, -1):
+                dp.row(h, vals[h], vrows, prows)
 
     # -- aggregated statistics ----------------------------------------
 
@@ -171,39 +290,76 @@ class Oracle:
         data = self._specs.get(spec)
         if data is not None:
             return data
+        best = self._best_ids
+        dp = self._dp
         inst = self.inst
+        tabled = [i for i, table in enumerate(inst.tables) if table]
+        # conditional-law buckets: per node with a table a block of rows,
+        # one per outcome, with a column per out-edge in order and one
+        # for None (the path avoids the node)
+        width = [len(inst.out_edges[i]) + 1 for i in tabled]
+        base = [0]
+        for k, i in enumerate(tabled):
+            base.append(base[k] + len(inst.tables[i]) * width[k])
+        acc: list[float] = [0] * base[-1]
+        column = {e.id: c for out in inst.out_edges for c, e in enumerate(out)}
         edge_src = [inst.node_index[e.src] for e in inst.edges]
+        # per distinct path id: the spec's path and its bucket column per tabled node
+        chosen = {}
+        for pid in set(best):
+            path = spec.select(dp.path(pid))
+            at_node = {edge_src[eid]: column[eid] for eid in path}
+            chosen[pid] = (path, tuple(at_node.get(i, w - 1) for i, w in zip(tabled, width)))
+
+        last = len(tabled) - 1
+        at = [0] * len(tabled)
+        prefix = [1] * (len(tabled) + 1)  # prefix[k + 1] = 1 * p_0 * ... * p_k; int keeps Fraction exact
+        rows = [0] * len(tabled)  # bucket offset of each tabled node's current outcome
+        cur = [0.0] * len(inst.edges)  # the current realization's edge values
+
+        def settle(first: int) -> None:
+            for k in range(first, len(tabled)):
+                i, o = tabled[k], at[k]
+                prefix[k + 1] = prefix[k] * inst.tables[i][o].p
+                rows[k] = base[k] + o * width[k]
+                for (eid, _, _), v in zip(dp.out[i], dp.values[i][o]):
+                    cur[eid] = v
+
+        settle(0)
         xs: list[float] = [0] * len(inst.edges)
-        cond_mass: dict[int, list[dict[int | None, float]]] = {
-            i: [{} for _ in table] for i, table in enumerate(inst.tables) if table
-        }
         paths: dict[tuple[int, ...], float] = {}
         value_terms = []
-        for r in self.realizations:
-            sel = self.opt_path(r, spec)
-            m = r.mass
-            value_terms.append(m * sel.value)
-            at_node = {edge_src[eid]: eid for eid in sel.edges}
-            for eid in sel.edges:
+        for pid in best:
+            path, cols = chosen[pid]
+            m = prefix[-1]
+            value_terms.append(m * stable_sum([cur[eid] for eid in path]))
+            for eid in path:
                 xs[eid] += m
-            paths[sel.edges] = paths.get(sel.edges, 0) + m
-            for i in cond_mass:
-                law = cond_mass[i][r.choices[i]]
-                key = at_node.get(i)
-                law[key] = law.get(key, 0) + m
+            paths[path] = paths.get(path, 0) + m
+            for r, c in zip(rows, cols):
+                acc[r + c] += m
+            # next realization in product order: the last node moves fastest
+            k = last
+            while k >= 0 and at[k] + 1 == len(inst.tables[tabled[k]]):
+                at[k] = 0
+                k -= 1
+            if k >= 0:
+                at[k] += 1
+                settle(k)
+
         cond: dict[int, list[dict[int | None, float]]] = {}
-        for i, per_outcome in cond_mass.items():
-            table = inst.tables[i]
+        for k, i in enumerate(tabled):
             keys: list[int | None] = [e.id for e in inst.out_edges[i]]
             keys.append(None)
-            rows = []
-            for o_idx, law in enumerate(per_outcome):
-                p = table[o_idx].p
+            per_outcome = []
+            for o, outcome in enumerate(inst.tables[i]):
+                p = outcome.p
+                start = base[k] + o * width[k]
                 if p <= 0:
-                    rows.append({k: (1 if k is None else 0) for k in keys})
+                    per_outcome.append({key: (1 if key is None else 0) for key in keys})
                 else:
-                    rows.append({k: law.get(k, 0) / p for k in keys})
-            cond[i] = rows
+                    per_outcome.append({key: acc[start + c] / p for c, key in enumerate(keys)})
+            cond[i] = per_outcome
         data = _SpecData(stable_sum(value_terms), tuple(xs), cond, paths)
         self._specs[spec] = data
         return data
@@ -257,32 +413,21 @@ class Oracle:
         """Expected value of the walker that sees each node's outcome on
         arrival and otherwise knows all distributions."""
         inst = self.inst
-        cap = DEFAULT_STATE_CAP if state_cap is None else state_cap
-        caps = tuple(c for _, c in self.active_labels)
-        n_states = len(inst.nodes)
-        for c in caps:
-            n_states *= c + 1
-        if n_states > cap:
-            raise StateCapError(f"{n_states} online states exceed cap {cap}")
-        n = len(inst.nodes)
-        ranges = [range(c + 1) for c in caps]
-        value: list[dict[tuple[int, ...], float]] = [{} for _ in range(n)]
-        for rem in itertools.product(*ranges):
-            value[n - 1][rem] = 0
-        for i in range(n - 2, -1, -1):
-            table = inst.tables[i]
-            for rem in itertools.product(*ranges):
+        check_state_cap(len(inst.nodes), [cap for _, cap in self.active_labels], "online", state_cap)
+        dp = _BestPathDP(inst, self.active_labels)
+        value: list = [None] * len(inst.nodes)
+        value[-1] = [0] * dp.n_states
+        for i in range(len(inst.nodes) - 2, -1, -1):
+            row = []
+            for s in range(dp.n_states):
                 per_outcome = []
-                for o in table:
+                for o, vals in zip(inst.tables[i], dp.values[i]):
                     best = None
-                    for e in inst.out_edges[i]:
-                        need = [self._active_pos[lbl] for lbl in e.labels if lbl in self._active_pos]
-                        if any(rem[k] == 0 for k in need):
+                    for (_, j, trans), v in zip(dp.out[i], vals):
+                        c = s if trans is None else trans[s]
+                        if c is None:
                             continue
-                        child = list(rem)
-                        for k in need:
-                            child[k] -= 1
-                        w = o.values[e.id] + value[inst.node_index[e.dst]][tuple(child)]
+                        w = v + value[j][c]
                         if best is None or w > best:
                             best = w
                     if best is None:
@@ -290,9 +435,9 @@ class Oracle:
                             f"walker can get stuck at {inst.nodes[i]!r}; every node needs an unlabeled way forward"
                         )
                     per_outcome.append(o.p * best)
-                value[i][rem] = stable_sum(per_outcome)
-        full = tuple(caps)
-        return value[0][full]
+                row.append(stable_sum(per_outcome))
+            value[i] = row
+        return value[0][dp.full]
 
 
 # module-level conveniences; each call builds a fresh cache

@@ -52,7 +52,7 @@ from .cover import PathCover, min_path_cover, shortest_unlabeled_path
 from .errors import CoverError, InvalidInstanceError, PolicyError, ScheduleError
 from .model import Instance, Realization, active_label_caps
 from .oracle import OPT, EdgeProbabilities, OfflineSpec, Oracle, restricted_spec
-from .util import TOL, cumulative, derive_seed, exact_threshold, pick, stable_sum
+from .util import TOL, check_state_cap, cumulative, derive_seed, exact_threshold, pick, stable_sum
 
 
 def path_nodes(inst: Instance, focal: Sequence[int]) -> tuple[str, ...]:
@@ -208,6 +208,13 @@ def evaluate_focal_policy(
     elif divisor is None:
         divisor = inst.max_labels_per_edge + 2
 
+    active = active_label_caps(inst)
+    caps = tuple(c for _, c in active)
+    apos = {lbl: i for i, (lbl, _) in enumerate(active)}
+    zero = (0,) * len(active)
+    m = len(focal)
+    check_state_cap(m + 1, caps, "arrival")
+
     xs = oracle.edge_probabilities(spec).x
     for e in inst.edges:
         if xs[e.id] > TOL and (e.src not in pos or e.dst not in pos):
@@ -215,12 +222,6 @@ def evaluate_focal_policy(
                 f"offline mass {float(xs[e.id]):.6g} on edge {e.id} is off the focal surface"
             )
 
-    active = active_label_caps(inst)
-    caps = tuple(c for _, c in active)
-    apos = {lbl: i for i, (lbl, _) in enumerate(active)}
-    zero = (0,) * len(active)
-
-    m = len(focal)
     arrivals: list[dict[tuple[int, ...], float]] = [{} for _ in range(m + 1)]
     arrivals[0][zero] = 1
     visits: list[float] = []

@@ -9,6 +9,8 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .errors import StateCapError
+
 DEFAULT_ENUM_CAP = 10_000_000
 DEFAULT_STATE_CAP = 5_000_000
 TOL = 1e-9
@@ -26,10 +28,25 @@ def default_enum_cap() -> int:
     return cap if cap > 0 else DEFAULT_ENUM_CAP
 
 
+def check_state_cap(positions: int, caps: Iterable[int], kind: str, cap: int | None = None) -> None:
+    """Refuse, before it allocates anything, a dynamic program over
+    `positions` times every remaining-capacity vector of labels with
+    capacities `caps` when those states exceed `cap` (default:
+    DEFAULT_STATE_CAP)."""
+    n_states = positions
+    for c in caps:
+        n_states *= c + 1
+    cap = DEFAULT_STATE_CAP if cap is None else cap
+    if n_states > cap:
+        raise StateCapError(f"{n_states} {kind} states exceed cap {cap}")
+
+
 def stable_sum(values: Iterable) -> float | Fraction:
     """Sum that stays exact for Fractions and is compensated for floats."""
     vals = list(values)
-    if any(isinstance(v, Fraction) for v in vals):
+    # one subclass test per distinct type: isinstance against the
+    # Fraction ABC costs about as much as the float sum itself
+    if any(issubclass(t, Fraction) for t in set(map(type, vals))):
         total = Fraction(0)
         for v in vals:
             total += v if isinstance(v, Fraction) else Fraction(v)

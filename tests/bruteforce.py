@@ -2,11 +2,13 @@
 
 Everything here enumerates explicitly (realizations, paths, branches of
 a policy's coin tree, antichains) and shares no code with the package's
-fast paths, so agreement between the two is meaningful.  The one
-exception is the Monte Carlo conditional choice law, which samples
-realizations and scores them with the package's per-realization
-selection (`Oracle.opt_path`) to check the exact conditional laws.
-Meant for instances with a handful of nodes.
+fast paths, so agreement between the two is meaningful.  The two
+exceptions score realizations with the package's per-realization
+selection (`Oracle.opt_path`, itself checked against the path search
+here): the Monte Carlo conditional choice law, and the per-realization
+annotation loop, which checks that the oracle's shared pass gives the
+same statistics bit for bit.  Meant for instances with a handful of
+nodes.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ import itertools
 import random
 from collections import defaultdict
 
-from pathprophet import Realization, StateCapError, sample_realization
+from pathprophet import Realization, StateCapError, enumerate_realizations, sample_realization
 from pathprophet.oracle import OPT
-from pathprophet.util import derive_seed
+from pathprophet.util import derive_seed, stable_sum
 
 
 def iter_realizations(inst):
@@ -326,3 +328,41 @@ def weighted_index(weights, u):
         if u < acc:
             return i
     return last_positive
+
+
+def annotation_reference(oracle, spec=OPT):
+    """The oracle's statistics for `spec` by one loop over the list of
+    realizations, each scored by `oracle.opt_path` and its mass added to
+    every bucket in enumeration order.  Returns (expected, x, path law,
+    cond) with cond: node name -> outcome index -> {edge id or None:
+    prob}, keyed like `Oracle.conditional_choice_distribution`."""
+    inst = oracle.inst
+    edge_src = [inst.node_index[e.src] for e in inst.edges]
+    x = [0] * len(inst.edges)
+    law_mass = {i: [{} for _ in table] for i, table in enumerate(inst.tables) if table}
+    paths = {}
+    value_terms = []
+    for r in enumerate_realizations(inst):
+        sel = oracle.opt_path(r, spec)
+        m = r.mass
+        value_terms.append(m * sel.value)
+        at = {edge_src[e]: e for e in sel.edges}
+        for e in sel.edges:
+            x[e] += m
+        paths[sel.edges] = paths.get(sel.edges, 0) + m
+        for i, laws in law_mass.items():
+            law = laws[r.choices[i]]
+            key = at.get(i)
+            law[key] = law.get(key, 0) + m
+    cond = {}
+    for i, per_outcome in law_mass.items():
+        keys = [e.id for e in inst.out_edges[i]] + [None]
+        rows = []
+        for o, law in enumerate(per_outcome):
+            p = inst.tables[i][o].p
+            if p <= 0:
+                rows.append({k: (1 if k is None else 0) for k in keys})
+            else:
+                rows.append({k: law.get(k, 0) / p for k in keys})
+        cond[inst.nodes[i]] = rows
+    return stable_sum(value_terms), tuple(x), paths, cond

@@ -38,3 +38,17 @@ def diamond() -> Instance:
             "b": [(0.5, {3: 0.0}), (0.5, {3: 1.5})],
         },
     )
+
+
+def many_binding_labels(k=23):
+    """A chain of 2k hops, each with an unlabeled edge and a labeled twin;
+    label Lj sits on hops j and j+k, so all k labels bind at capacity 1
+    and the label-budget state space has 2^k capacity vectors per node."""
+    n = 2 * k + 1
+    nodes = [f"v{i}" for i in range(n)]
+    edges = []
+    outcomes = {}
+    for h in range(n - 1):
+        edges += [(nodes[h], nodes[h + 1], ()), (nodes[h], nodes[h + 1], (f"L{h % k}",))]
+        outcomes[nodes[h]] = [(1.0, {2 * h: 0.0, 2 * h + 1: 1.0})]
+    return Instance.build(nodes, edges, {f"L{j}": 1 for j in range(k)}, outcomes)

@@ -11,6 +11,8 @@ from pathprophet.instances import kplus1, paper_families, two_candidate, upper49
 from pathprophet.model import Instance, load_instance, save_instance
 from pathprophet.simulate import monte_carlo_estimate
 
+from conftest import many_binding_labels
+
 
 def write(tmp_path, inst, name="inst.json"):
     path = tmp_path / name
@@ -332,3 +334,21 @@ def test_malformed_documents_exit_3_with_one_line(tmp_path, capsys, doc, command
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error[validation]:")
     assert "'p'" not in err
+
+
+@pytest.mark.parametrize("command", ["validate", "opt", "simulate"])
+def test_non_object_meta_exits_3_with_one_line(tmp_path, capsys, command):
+    path = tmp_path / "inst.json"
+    path.write_text('{"nodes": ["s", "t"], "edges": [{"src": "s", "dst": "t"}], "outcomes": {"s": [%s]}, "meta": 5}' % ROW)
+    argv = [command, str(path)] + (["--policy", "width1"] if command == "simulate" else [])
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error[validation]: meta must be an object")
+
+
+def test_opt_over_the_label_budget_cap_exits_4_with_one_line(tmp_path, capsys):
+    code, out, err = run(capsys, ["opt", write(tmp_path, many_binding_labels())])
+    assert code == 4
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error[cap]:")

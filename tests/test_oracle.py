@@ -2,29 +2,41 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
+import sys
 
 import pytest
 
 from pathprophet import (
+    CoverError,
+    EnumerationCapError,
     Instance,
     Oracle,
+    PolicyError,
     StateCapError,
+    build_disjoint_plan,
     enumerate_realizations,
+    evaluate_focal_policy,
+    exact_policy_value,
+    expected_opt,
     generate_paper_instance,
+    instance_from_dict,
+    instance_to_dict,
     restricted_spec,
 )
 from pathprophet.oracle import OPT
 
 from bruteforce import (
     all_feasible_paths,
+    annotation_reference,
     best_feasible_path,
     conditional_choice_distribution_mc,
     iter_realizations,
     offline_statistics,
 )
-from conftest import dag_fuzz, diamond, labeled_fuzz, strands_fuzz, width1_fuzz
+from conftest import dag_fuzz, diamond, labeled_fuzz, many_binding_labels, strands_fuzz, width1_fuzz
 
 
 FUZZ = (
@@ -161,3 +173,71 @@ def test_oracle_rejects_unreachable_sink():
     )
     with pytest.raises(Exception):
         Oracle(inst).expected_opt()
+
+
+def json_twin(inst):
+    return instance_from_dict(json.loads(json.dumps(instance_to_dict(inst), default=float)))
+
+
+def specs_of(inst, orc):
+    """OPT, plus the strand-restricted specs of a disjoint plan when the
+    instance has one."""
+    try:
+        return [OPT, *build_disjoint_plan(inst, oracle=orc).specs]
+    except (CoverError, PolicyError):
+        return [OPT]
+
+
+REFERENCE_CORPUS = [maker(j) for maker in (width1_fuzz, labeled_fuzz, dag_fuzz, strands_fuzz) for j in range(12)]
+
+
+@pytest.mark.parametrize("twin", [False, True], ids=["fraction", "float"])
+def test_statistics_equal_the_per_realization_loop(twin):
+    restricted = 0
+    for inst in REFERENCE_CORPUS:
+        inst = json_twin(inst) if twin else inst
+        orc = Oracle(inst)
+        for spec in specs_of(inst, orc):
+            restricted += spec.kind == "restricted"
+            expected, x, paths, cond = annotation_reference(Oracle(inst), spec)
+            assert orc.expected_opt(spec) == expected
+            assert orc.edge_probabilities(spec).x == x
+            assert list(orc.path_distribution(spec).items()) == list(paths.items())
+            for name, rows in cond.items():
+                for o, law in enumerate(rows):
+                    assert orc.conditional_choice_distribution(name, o, spec) == law
+    assert restricted >= 12  # every strands instance has a plan
+
+
+def test_chain_longer_than_the_recursion_limit_annotates():
+    n = sys.getrecursionlimit() + 50
+    nodes = [f"v{i}" for i in range(n)]
+    edges = [(nodes[i], nodes[i + 1], ()) for i in range(n - 1) for _ in range(2)]
+    outcomes = {nodes[i]: [(1.0, {2 * i: 1.0, 2 * i + 1: 0.5})] for i in range(n - 1)}
+    # the first and the last hop flip their preference in one of two outcomes
+    for i in (0, n - 2):
+        outcomes[nodes[i]] = [(0.5, {2 * i: 1.0, 2 * i + 1: 0.5}), (0.5, {2 * i: 0.0, 2 * i + 1: 2.0})]
+    inst = Instance.build(nodes, edges, outcomes=outcomes)
+    orc = Oracle(inst)
+    assert orc.expected_opt() == annotation_reference(orc)[0]
+    assert orc.edge_probabilities().x[1] == 0.5
+    assert orc.edge_probabilities().x[2 * (n - 2) + 1] == 0.5
+
+
+def test_label_budget_and_arrival_states_are_capped_before_allocation():
+    inst = many_binding_labels()
+    with pytest.raises(StateCapError, match="label-budget states exceed cap"):
+        expected_opt(inst)
+    with pytest.raises(StateCapError, match="label-budget states exceed cap"):
+        Oracle(inst).opt_path(enumerate_realizations(inst)[0])
+    with pytest.raises(StateCapError):
+        exact_policy_value(inst, "width1-labeled")
+    focal = tuple(range(0, 2 * len(inst.nodes) - 2, 2))
+    with pytest.raises(StateCapError, match="arrival states exceed cap"):
+        evaluate_focal_policy(inst, focal)
+
+
+def test_enumeration_cap_is_checked_before_the_shared_pass():
+    inst = generate_paper_instance("mchoice", n=4, m=2)
+    with pytest.raises(EnumerationCapError, match="enumeration too large, use Monte Carlo"):
+        Oracle(inst, enum_cap=1).expected_opt()
