@@ -9,6 +9,7 @@ floating point.
 
 from __future__ import annotations
 
+import inspect
 import random
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
@@ -506,6 +507,13 @@ def generate_paper_instance(family: str, **params: Any) -> Instance:
     if fn is None:
         raise InvalidInstanceError(
             f"unknown family {family!r}; known: {', '.join(paper_families())}"
+        )
+    accepted = tuple(inspect.signature(fn).parameters)
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise ValueError(
+            f"family {key!r} does not take {', '.join(map(repr, unknown))}; "
+            f"it accepts: {', '.join(accepted)}"
         )
     return fn(**params)
 

@@ -400,6 +400,8 @@ class Oracle:
     # -- Monte Carlo fallback -----------------------------------------
 
     def expected_opt_mc(self, trials: int, seed: int, spec: OfflineSpec = OPT) -> float:
+        if trials < 1:
+            raise ValueError("trials must be positive")
         terms = []
         for j in range(trials):
             rng = random.Random(derive_seed(seed, "opt", j))

@@ -13,7 +13,10 @@ guarantee: one run on the instance for `width1`, `width1-labeled` and
 `prepare_policy` builds it from a registry of one prepare function per
 name, which also gives `POLICIES`.
 
-The module provides two views of every focal run:
+A focal run has one compiled path (`_compile_path`), one acceptance
+rule (`AlphaSchedule` or `FeasibilityProbs`, each handing over a
+per-edge acceptance table; the labeled coin lives in
+`_labeled_acceptance`) and two evaluators:
 
 * one sampler, `FocalWalker`, that walks one trajectory with an
   explicit `random.Random`; every `run_*` function and the staged Monte
@@ -25,7 +28,8 @@ The module provides two views of every focal run:
   along the focal path, folding outcome tables and acceptance coins
   analytically.  Tentative draws are conditionally independent of the
   walker's state given the node outcome, so the forward pass is exact,
-  not an approximation.
+  not an approximation.  Exact `FeasibilityProbs` keep the value of
+  the engine run that computed them: a run's only engine run.
 
 Draw order of one trial, which a fixed seed reproduces bit for bit:
 one uniform per node that has an outcome table, in node order (unless a
@@ -45,7 +49,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache
 from typing import Any, NamedTuple, Sequence
 
 from .cover import PathCover, min_path_cover, shortest_unlabeled_path
@@ -69,6 +74,43 @@ def path_nodes(inst: Instance, focal: Sequence[int]) -> tuple[str, ...]:
     if seq[0] != inst.source or seq[-1] != inst.sink:
         raise PolicyError("focal path must run from source to sink")
     return tuple(seq)
+
+
+class _Tentative(NamedTuple):
+    eid: int
+    need: tuple[int, ...]  # active-label positions the edge uses
+    dst: int | None  # focal position of its head; None: leaves the focal surface
+
+
+class _FocalPath(NamedTuple):
+    focal: tuple[int, ...]
+    order: tuple[str, ...]
+    pos: dict[str, int]
+    caps: tuple[int, ...]  # capacity per active label
+    out: list[list[_Tentative]]  # per non-sink position: its out-edges in order
+
+
+def _compile_path(inst: Instance, focal: Sequence[int]) -> _FocalPath:
+    """A focal path as the engine and the walker both read it."""
+    focal = tuple(focal)
+    order = path_nodes(inst, focal)
+    pos = {name: i for i, name in enumerate(order)}
+    active = active_label_caps(inst)
+    apos = {lbl: k for k, (lbl, _) in enumerate(active)}
+    out = [
+        [
+            _Tentative(e.id, tuple(apos[l] for l in e.labels if l in apos), pos.get(e.dst))
+            for e in inst.out_edges[inst.node_index[u]]
+        ]
+        for u in order[:-1]
+    ]
+    return _FocalPath(focal, order, pos, tuple(c for _, c in active), out)
+
+
+def _labeled_acceptance(divisor: float, p: float) -> float:
+    """The labeled rule's coin for an edge whose source is reached with
+    capacity for it with probability p > 0."""
+    return min(1, 1 / (divisor * p))
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +139,17 @@ class AlphaSchedule:
     @property
     def divisor(self) -> float:
         return 2 - self.q
+
+    def _acceptance(self, path: _FocalPath) -> dict[int, float]:
+        """alpha(i) per bypass edge leaving position i, 1 per path edge."""
+        return {
+            eid: 1 if eid == path_eid else a
+            for path_eid, a, tents in zip(path.focal, self.alpha, path.out)
+            for eid, _, _ in tents
+        }
+
+    def _exact_value(self, run: FocalRun) -> float:
+        return evaluate_focal_policy(run.graph, run.focal, run.oracle, run.spec, schedule=self).value
 
 
 def alpha_schedule(
@@ -194,47 +247,39 @@ def evaluate_focal_policy(
     With a schedule the policy is the unlabeled one (path-edge
     tentatives just walk on; bypass tentatives are accepted with
     alpha(i)).  Without a schedule the labeled rule applies: every
-    tentative edge e is accepted with min(1, 1/(divisor * p(e))) where
-    p(e) is the exact feasible-arrival probability computed on the fly.
+    tentative edge e is accepted with the labeled coin
+    (`_labeled_acceptance`) of p(e), the exact feasible-arrival
+    probability computed on the fly.
     """
     oracle = Oracle(inst) if oracle is None else oracle
-    focal = tuple(focal)
-    order = path_nodes(inst, focal)
-    pos = {name: i for i, name in enumerate(order)}
+    path = _compile_path(inst, focal)
+    focal, order, caps = path.focal, path.order, path.caps
     if schedule is not None:
         if schedule.focal != focal:
             raise ScheduleError("schedule was built for a different focal path")
         divisor = schedule.divisor
     elif divisor is None:
         divisor = inst.max_labels_per_edge + 2
-
-    active = active_label_caps(inst)
-    caps = tuple(c for _, c in active)
-    apos = {lbl: i for i, (lbl, _) in enumerate(active)}
-    zero = (0,) * len(active)
     m = len(focal)
     check_state_cap(m + 1, caps, "arrival")
 
     xs = oracle.edge_probabilities(spec).x
     for e in inst.edges:
-        if xs[e.id] > TOL and (e.src not in pos or e.dst not in pos):
+        if xs[e.id] > TOL and (e.src not in path.pos or e.dst not in path.pos):
             raise PolicyError(
                 f"offline mass {float(xs[e.id]):.6g} on edge {e.id} is off the focal surface"
             )
 
     arrivals: list[dict[tuple[int, ...], float]] = [{} for _ in range(m + 1)]
-    arrivals[0][zero] = 1
+    arrivals[0][(0,) * len(caps)] = 1
     visits: list[float] = []
     value_terms: list[float] = []
     feas: dict[int, float] = {}
-    accept: dict[int, float] = {}
+    accept: dict[int, float] = {} if schedule is None else schedule._acceptance(path)
     take: dict[int, float] = {}
 
-    for i in range(m):
-        u = order[i]
-        ui = inst.node_index[u]
-        path_eid = focal[i]
-        table = inst.tables[ui]
+    for i, (u, path_eid, tents) in enumerate(zip(order, focal, path.out)):
+        table = inst.tables[inst.node_index[u]]
         states = sorted(arrivals[i].items())
         visit_i = stable_sum(mass for _, mass in states)
         visits.append(visit_i)
@@ -244,32 +289,17 @@ def evaluate_focal_policy(
                 f"{order[i]!r} with probability {float(visit_i):.12g}, "
                 f"schedule predicts {float(schedule.visit[i]):.12g}"
             )
-        out = inst.out_edges[ui]
-        needs = {e.id: tuple(apos[l] for l in e.labels if l in apos) for e in out}
-        for e in out:
-            need = needs[e.id]
+        for eid, need, _ in tents:
             if need:
-                p = stable_sum(
-                    mass
-                    for usage, mass in states
-                    if all(usage[k] < caps[k] for k in need)
-                )
+                p = stable_sum(mass for usage, mass in states if all(usage[k] < caps[k] for k in need))
             else:
                 p = visit_i
-            feas[e.id] = p
-            take.setdefault(e.id, 0)
-            if schedule is not None:
-                accept[e.id] = 1 if e.id == path_eid else schedule.alpha[i]
-            elif p <= 0:
-                if xs[e.id] > TOL:
-                    raise PolicyError(
-                        f"p(e)=0 encountered for a tentative edge with x_e>0 (edge {e.id})"
-                    )
-                accept[e.id] = 0
-            else:
-                accept[e.id] = min(1, 1 / (divisor * p))
-        keys: list[int | None] = [e.id for e in out]
-        keys.append(None)
+            feas[eid] = p
+            take.setdefault(eid, 0)
+            if schedule is None:
+                if p <= 0 and xs[eid] > TOL:
+                    raise PolicyError(f"p(e)=0 encountered for a tentative edge with x_e>0 (edge {eid})")
+                accept[eid] = _labeled_acceptance(divisor, p) if p > 0 else 0
         laws = [oracle.conditional_choice_distribution(u, o_idx, spec) for o_idx in range(len(table))]
         for usage, mass in states:
             if mass <= 0:
@@ -280,44 +310,33 @@ def evaluate_focal_policy(
                 base = mass * o.p
                 law = laws[o_idx]
                 walk = 0
-                for key in keys:
-                    c = law.get(key, 0)
-                    if key is None:
-                        walk = walk + c
-                        continue
+                for eid, need, j in tents:
+                    c = law.get(eid, 0)
                     if c <= 0:
                         continue
-                    if key == path_eid:
+                    if eid == path_eid:
                         # path-edge tentative: movement is a plain walk
                         # either way; the coin is bookkeeping only
-                        take[key] += base * c * (1 if schedule is not None else accept[key])
+                        take[eid] += base * c * accept[eid]
                         walk = walk + c
                         continue
-                    need = needs[key]
                     if need and not all(usage[k] < caps[k] for k in need):
                         walk = walk + c
                         continue
-                    a = accept[key]
+                    a = accept[eid]
                     if a > 0:
-                        dst = inst.edges[key].dst
-                        j = pos.get(dst)
                         if j is None:
-                            raise PolicyError(f"tentative edge {key} leaves the focal surface")
+                            raise PolicyError(f"tentative edge {eid} leaves the focal surface")
                         moved = base * c * a
-                        value_dst = o.values[key]
-                        take[key] += moved
-                        if need:
-                            bumped = list(usage)
-                            for k in need:
-                                bumped[k] += 1
-                            key_usage = tuple(bumped)
-                        else:
-                            key_usage = usage
+                        take[eid] += moved
+                        # an edge's labels are distinct, so each bumps its count once
+                        key_usage = tuple(n + (k in need) for k, n in enumerate(usage)) if need else usage
                         land = arrivals[j]
                         land[key_usage] = land.get(key_usage, 0) + moved
-                        value_terms.append(moved * value_dst)
+                        value_terms.append(moved * o.values[eid])
                     if a < 1:
                         walk = walk + c * (1 - a)
+                walk = walk + law.get(None, 0)
                 if walk > 0:
                     wmass = base * walk
                     land = arrivals[i + 1]
@@ -352,6 +371,17 @@ class FeasibilityProbs:
     divisor: float
     trials: int | None = None
     seed: int | None = None
+    # exact mode: the value of the engine run that computed p
+    _value: float | None = field(default=None, init=False, repr=False, compare=False)
+
+    def _acceptance(self, path: _FocalPath) -> dict[int, float]:
+        """The labeled rule's coin for every edge with p > 0."""
+        return {eid: _labeled_acceptance(self.divisor, p) for eid, p in self.p.items() if p > 0}
+
+    def _exact_value(self, run: FocalRun) -> float:
+        if self._value is not None:
+            return self._value
+        return evaluate_focal_policy(run.graph, run.focal, run.oracle, run.spec, self.divisor).value
 
 
 def feasibility_probabilities(
@@ -375,7 +405,6 @@ def feasibility_probabilities(
     would bootstrap itself.  Estimated acceptances are clamped to [0,1].
     """
     oracle = Oracle(inst) if oracle is None else oracle
-    focal = tuple(focal)
     if divisor is None:
         divisor = inst.max_labels_per_edge + 2
     if x is not None:
@@ -383,9 +412,7 @@ def feasibility_probabilities(
         ours = oracle.edge_probabilities(spec).x
         for eid in range(len(inst.edges)):
             if abs(xs[eid] - ours[eid]) > 1e-6:
-                raise PolicyError(
-                    f"supplied x disagrees with the offline baseline at edge {eid}"
-                )
+                raise PolicyError(f"supplied x disagrees with the offline baseline at edge {eid}")
     if mode == "exact":
         stats = evaluate_focal_policy(inst, focal, oracle, spec, divisor=divisor)
         d = inst.max_labels_per_edge
@@ -397,7 +424,9 @@ def feasibility_probabilities(
                         f"exact p({eid})={float(pe):.12g} fell below 1/(d+2); "
                         "the offline probabilities are inconsistent"
                     )
-        return FeasibilityProbs(dict(stats.feasibility), "exact", divisor)
+        probs = FeasibilityProbs(dict(stats.feasibility), "exact", divisor)
+        object.__setattr__(probs, "_value", stats.value)
+        return probs
     if mode != "mc":
         raise ValueError(f"unknown feasibility mode {mode!r}")
     if seed is None:
@@ -422,7 +451,7 @@ def feasibility_probabilities(
             pe = h / trials
             est[t.eid] = pe
             if pe > 0:
-                walker.thresholds[t.eid] = exact_threshold(min(1, 1 / (divisor * pe)))
+                walker.thresholds[t.eid] = exact_threshold(_labeled_acceptance(divisor, pe))
     return FeasibilityProbs(est, "mc", divisor, trials, seed)
 
 
@@ -449,12 +478,6 @@ class Trajectory:
     inner_value: float | None = None  # certified value before connector replay
 
 
-class _Tentative(NamedTuple):
-    eid: int
-    need: tuple[int, ...]  # active-label positions the edge uses
-    dst: int | None  # focal position of its head; None: leaves the focal surface
-
-
 class _Stop(NamedTuple):
     node: str
     slot: int  # index of the node's outcome in the choices the walk reads
@@ -469,7 +492,8 @@ class FocalWalker:
 
     `rule` is an `AlphaSchedule` (alpha rule), a `FeasibilityProbs`
     (labeled rule) or None (staged rule: no edge is accepted until its
-    entry in `thresholds` is set).  `home` is the instance whose
+    entry in `thresholds` is set).  Coin thresholds are `exact_threshold`
+    of the rule's acceptance table.  `home` is the instance whose
     realization the walk reads; it defaults to `inst` and is the full
     graph when `inst` is a contraction of it.
     """
@@ -484,36 +508,23 @@ class FocalWalker:
         home: Instance | None = None,
     ):
         home = inst if home is None else home
-        focal = tuple(focal)
-        order = path_nodes(inst, focal)
-        pos = {name: i for i, name in enumerate(order)}
-        active = active_label_caps(inst)
-        apos = {lbl: k for k, (lbl, _) in enumerate(active)}
-        self.caps = tuple(c for _, c in active)
+        path = _compile_path(inst, focal)
+        self.caps = path.caps
         self.labeled = isinstance(rule, FeasibilityProbs)
-        if self.labeled and any(inst.edges[eid].labels for eid in focal):
+        if self.labeled and any(inst.edges[eid].labels for eid in path.focal):
             raise PolicyError("focal path must consist of unlabeled edges")
         if isinstance(rule, AlphaSchedule) and inst.max_labels_per_edge > 0:
             raise PolicyError("unlabeled policy cannot run on a labeled instance")
         tables = oracle.choice_tables(spec)
-        self.thresholds: list[float | None] = [None] * len(inst.edges)
         self.stops: list[_Stop] = []
-        for i, u in enumerate(order[:-1]):
+        for u, path_eid, tents in zip(path.order, path.focal, path.out):
             ui = inst.node_index[u]
             if ui not in tables:
                 raise InvalidInstanceError(f"node {u!r} has no outcome table")
-            out = inst.out_edges[ui]
-            tents = [
-                _Tentative(e.id, tuple(apos[l] for l in e.labels if l in apos), pos.get(e.dst))
-                for e in out
-            ]
-            self.stops.append(_Stop(u, home.node_index[u], focal[i], tables[ui], [*tents, None]))
-            for e in out:
-                if isinstance(rule, AlphaSchedule):
-                    self.thresholds[e.id] = exact_threshold(rule.alpha[i])
-                elif self.labeled and rule.p.get(e.id, 0) > 0:
-                    a = min(1, 1 / (rule.divisor * rule.p[e.id]))
-                    self.thresholds[e.id] = exact_threshold(a)
+            self.stops.append(_Stop(u, home.node_index[u], path_eid, tables[ui], [*tents, None]))
+        self.thresholds: list[float | None] = [None] * len(inst.edges)
+        for eid, a in ({} if rule is None else rule._acceptance(path)).items():
+            self.thresholds[eid] = exact_threshold(a)
 
     def walk(
         self,
@@ -643,11 +654,9 @@ class FocalRun(NamedTuple):
     rule: AlphaSchedule | FeasibilityProbs
 
     def value(self) -> float:
-        """Exact expected value of the walk, by the forward engine."""
-        schedule = self.rule if isinstance(self.rule, AlphaSchedule) else None
-        return evaluate_focal_policy(
-            self.graph, self.focal, self.oracle, self.spec, self.rule.divisor, schedule
-        ).value
+        """Exact expected value of the walk, from its one forward-engine
+        run (for the labeled rule, the one that computed p)."""
+        return self.rule._exact_value(self)
 
 
 @dataclass(frozen=True)
@@ -736,9 +745,7 @@ def run_width1_unlabeled(
     focal = _covering_focal(inst, focal)
     if schedule is None:
         schedule = alpha_schedule(inst, focal, oracle.edge_probabilities(spec), 0)
-    return run_modified_width1(
-        inst, focal, schedule, spec, rng, oracle=oracle, realization=realization
-    )
+    return run_modified_width1(inst, focal, schedule, spec, rng, oracle=oracle, realization=realization)
 
 
 def run_width1_labeled(
@@ -755,19 +762,15 @@ def run_width1_labeled(
 ) -> Trajectory:
     """Width-1 policy for label-capacitated graphs.
 
-    Tentative edge e is accepted with probability 1/(divisor * p(e)),
-    divisor defaulting to d+2 for d = most labels on any edge.  The
+    Tentative edge e is accepted with the labeled coin of p(e) and
+    divisor, which defaults to d+2 for d = most labels on any edge.  The
     focal path itself must be unlabeled and visit every node.
     """
     oracle = Oracle(inst) if oracle is None else oracle
     spec = OPT if spec is None else spec
     focal = _covering_focal(inst, focal)
-    if divisor is None:
-        divisor = inst.max_labels_per_edge + 2
     if probs is None:
-        probs = feasibility_probabilities(
-            inst, focal, x, "exact", oracle=oracle, spec=spec, divisor=divisor
-        )
+        probs = feasibility_probabilities(inst, focal, x, oracle=oracle, spec=spec, divisor=divisor)
     walker = FocalWalker(inst, focal, oracle, spec, probs)
     return PolicyWalk(inst, [walker]).run(rng, realization)
 
@@ -824,14 +827,9 @@ def build_contracted_instance(inst: Instance, cover: PathCover, index: int) -> C
                 best = sub
         earliest[vi] = best
 
-    connectors: dict[str, tuple[int, ...]] = {}
-
+    @cache
     def connector_for(v: str) -> tuple[int, ...]:
-        got = connectors.get(v)
-        if got is None:
-            got = shortest_unlabeled_path(inst, v, order[earliest[inst.node_index[v]]])
-            connectors[v] = got
-        return got
+        return shortest_unlabeled_path(inst, v, order[earliest[inst.node_index[v]]])
 
     edge_specs: list[tuple[str, str, frozenset[str]]] = []
     records: list[ContractedEdge] = []

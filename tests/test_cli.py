@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathprophet.cli import main
 from pathprophet.instances import kplus1, paper_families, two_candidate, upper49
-from pathprophet.model import Instance, load_instance, save_instance
+from pathprophet.model import Instance, instance_to_dict, load_instance, save_instance
 from pathprophet.simulate import monte_carlo_estimate
 
 from conftest import many_binding_labels
@@ -352,3 +359,77 @@ def test_opt_over_the_label_budget_cap_exits_4_with_one_line(tmp_path, capsys):
     assert code == 4
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error[cap]:")
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_opt_mc_refuses_non_positive_trials(tmp_path, capsys, trials):
+    path = write(tmp_path, two_candidate(0.5))
+    code, out, err = run(capsys, ["opt", path, "--mc", "--trials", trials, "--seed", "1"])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error[args]: trials must be positive"]
+
+
+def test_gen_refuses_a_parameter_the_family_does_not_take(tmp_path, capsys):
+    out_path = tmp_path / "x.json"
+    code, out, err = run(capsys, ["gen", "markets", "--n", "-1", "-o", str(out_path)])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "error[args]: family 'markets' does not take 'n'; it accepts: periods, dists"
+    ]
+    assert not out_path.exists()
+
+
+def json_locations(doc, prefix=()):
+    """(location, is an object field) of every value inside a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,), isinstance(doc, dict)
+        yield from json_locations(value, prefix + (key,))
+
+
+VALID_DOC = json.loads(json.dumps(instance_to_dict(upper49(0.1)), default=float))
+REPLACEMENTS = [None, True, False, "x", [], [1], {}, {"a": 1}, -0.0]
+# (location, "drop") removes an object field; (location, i) puts REPLACEMENTS[i] there
+MUTATIONS = [
+    (location, change)
+    for location, is_field in json_locations(VALID_DOC)
+    for change in (["drop"] if is_field else []) + list(range(len(REPLACEMENTS)))
+]
+DOCUMENT_COMMANDS = [
+    ["validate"],
+    ["width"],
+    ["cover"],
+    ["opt"],
+    ["xprobs"],
+    ["online-opt"],
+    ["simulate", "--policy", "width1-labeled"],
+    ["trace", "--policy", "width1-labeled", "--seed", "1"],
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(MUTATIONS))
+def test_mutated_documents_exit_0_or_3_with_one_line(mutation):
+    location, change = mutation
+    doc = copy.deepcopy(VALID_DOC)
+    parent = doc
+    for key in location[:-1]:
+        parent = parent[key]
+    if change == "drop":
+        del parent[location[-1]]
+    else:
+        parent[location[-1]] = copy.deepcopy(REPLACEMENTS[change])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "inst.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        for command in DOCUMENT_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command[0], path] + command[1:])
+            assert code in (0, 3), (command, code, err.getvalue())
+            if code == 3 and not (command[0] == "validate" and out.getvalue().startswith("invalid:")):
+                # `validate` lists the violations of a parsed document on stdout
+                assert len(err.getvalue().splitlines()) == 1, (command, err.getvalue())

@@ -362,3 +362,49 @@ def test_disjoint_rejects_labeled_and_overlapping_covers():
     )
     with pytest.raises(CoverError):
         build_disjoint_plan(inst, overlapping)
+
+
+# -- one rule for the engine and the walker ----------------------------------
+
+
+def json_twin(inst):
+    import json
+
+    from pathprophet import instance_from_dict, instance_to_dict
+
+    return instance_from_dict(json.loads(json.dumps(instance_to_dict(inst), default=float)))
+
+
+@pytest.mark.parametrize("twin", [False, True], ids=["fraction", "float"])
+@pytest.mark.parametrize("maker", [width1_fuzz, labeled_fuzz, dag_fuzz])
+def test_walker_thresholds_are_the_engine_acceptances(maker, twin):
+    from pathprophet import OPT
+    from pathprophet.policies import FocalWalker
+    from pathprophet.util import exact_threshold
+
+    checked = {"alpha": 0, "labeled": 0}
+    for j in range(40):
+        inst = json_twin(maker(j)) if twin else maker(j)
+        if maker is dag_fuzz:
+            runs = [(ci.graph, ci.focal) for ci in prepare_general_cover(inst).contracted]
+        else:
+            runs = [(inst, focal_of(inst))]
+        for graph, focal in runs:
+            orc = Oracle(graph)
+            rules = {"labeled": (feasibility_probabilities(graph, focal, oracle=orc), None)}
+            if graph.max_labels_per_edge == 0:
+                sched = alpha_schedule(graph, focal, orc.edge_probabilities(), 0)
+                rules["alpha"] = (sched, sched)
+            for name, (rule, schedule) in rules.items():
+                engine = evaluate_focal_policy(graph, focal, orc, schedule=schedule)
+                walker = FocalWalker(graph, focal, orc, OPT, rule)
+                for eid, a in engine.acceptance.items():
+                    if eid in focal:
+                        continue
+                    if a > 0:
+                        assert walker.thresholds[eid] == exact_threshold(a), (j, name, eid)
+                        checked[name] += 1
+                    else:
+                        assert walker.thresholds[eid] is None, (j, name, eid)
+    assert checked["labeled"] > 0
+    assert checked["alpha"] > 0 or maker is labeled_fuzz

@@ -143,3 +143,38 @@ def test_report_params_are_pinned(policy):
 def test_unknown_policy_lists_the_known_names():
     with pytest.raises(ValueError, match="known: width1, width1-labeled, general, disjoint"):
         exact_policy_value(width1_fuzz(0), "nope")
+
+
+def count_engine_runs(monkeypatch):
+    from pathprophet import policies
+
+    calls = []
+    engine = policies.evaluate_focal_policy
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(policies, "evaluate_focal_policy", counted)
+    return calls
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("j", [2, 5])
+def test_exact_reports_run_the_engine_once_per_focal_run(monkeypatch, policy, j):
+    from pathprophet import prepare_policy
+
+    inst = maker_for(policy)(j)
+    runs = prepare_policy(inst, policy).runs
+    calls = count_engine_runs(monkeypatch)
+    rep = competitive_report(inst, policy)
+    assert rep.bound_ok
+    assert len(calls) == len(runs)
+    assert sorted(calls) == sorted(run.focal for run in runs)
+
+
+@pytest.mark.parametrize("policy", ["width1", "disjoint"])
+def test_monte_carlo_reports_on_the_alpha_rule_run_no_engine(monkeypatch, policy):
+    calls = count_engine_runs(monkeypatch)
+    competitive_report(maker_for(policy)(5), policy, mode="mc", trials=50, seed=1)
+    assert calls == []
