@@ -55,8 +55,6 @@ from .policies import (
     alpha_schedule,
     build_disjoint_plan,
     evaluate_focal_policy,
-    exact_disjoint_value,
-    exact_general_cover_value,
     feasibility_probabilities,
     prepare_general_cover,
     prepare_policy,
@@ -113,8 +111,6 @@ __all__ = [
     "edge_probabilities",
     "enumerate_realizations",
     "evaluate_focal_policy",
-    "exact_disjoint_value",
-    "exact_general_cover_value",
     "exact_policy_value",
     "expected_opt",
     "feasibility_probabilities",

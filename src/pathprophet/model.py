@@ -89,9 +89,6 @@ class Instance:
     def max_labels_per_edge(self) -> int:
         return max((len(e.labels) for e in self.edges), default=0)
 
-    def table_for(self, node: str) -> OutcomeTable:
-        return self.tables[self.node_index[node]]
-
     @classmethod
     def build(
         cls,

@@ -36,10 +36,9 @@ from __future__ import annotations
 
 import random
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import InvalidInstanceError
 from .model import (
@@ -86,7 +85,6 @@ def restricted_spec(allowed, fallback) -> OfflineSpec:
 class PathSelection:
     edges: tuple[int, ...]
     value: float
-    label_usage: Mapping[str, int]
 
 
 @dataclass(frozen=True)
@@ -95,9 +93,6 @@ class EdgeProbabilities:
 
     x: tuple[float, ...]
     spec: OfflineSpec
-
-    def as_dict(self) -> dict[int, float]:
-        return {i: v for i, v in enumerate(self.x)}
 
 
 @dataclass
@@ -235,10 +230,7 @@ class Oracle:
         for i in range(len(dp.out) - 2, -1, -1):
             dp.row(i, [values[eid] for eid, _, _ in dp.out[i]], vrows, prows)
         edges = spec.select(dp.path(dp.source_id(vrows, prows)))
-        usage = Counter()
-        for eid in edges:
-            usage.update(self.inst.edges[eid].labels)
-        return PathSelection(edges, stable_sum(values[eid] for eid in edges), dict(usage))
+        return PathSelection(edges, stable_sum(values[eid] for eid in edges))
 
     @cached_property
     def _best_ids(self) -> array:

@@ -11,7 +11,9 @@ A prepared policy (`PreparedPolicy`) is a list of focal runs with its
 guarantee: one run on the instance for `width1`, `width1-labeled` and
 `disjoint`, one per cover path's contraction for `general`.
 `prepare_policy` builds it from a registry of one prepare function per
-name, which also gives `POLICIES`.
+name, which also gives `POLICIES`.  Preparation alone refuses what a
+rule cannot run (the alpha rule a labeled instance, the labeled rule a
+labeled focal edge), so the exact value and the sampler agree on it.
 
 A focal run has one compiled path (`_compile_path`), one acceptance
 rule (`AlphaSchedule` or `FeasibilityProbs`, each handing over a
@@ -19,10 +21,10 @@ per-edge acceptance table; the labeled coin lives in
 `_labeled_acceptance`) and two evaluators:
 
 * one sampler, `FocalWalker`, that walks one trajectory with an
-  explicit `random.Random`; every `run_*` function and the staged Monte
-  Carlo mode of `feasibility_probabilities` drive it.  Its float tables
-  are compiled by `PreparedPolicy.sampler` (a `PolicyWalk`), once per
-  Monte Carlo estimate, and never in exact mode.
+  explicit `random.Random`.  Only `PreparedPolicy.sampler` (a
+  `PolicyWalk`, once per Monte Carlo estimate, never in exact mode) and
+  the staged Monte Carlo mode of `feasibility_probabilities` build one;
+  the `run_*` functions walk a policy from the registry's prepare code.
 * an exact engine (`evaluate_focal_policy`) that pushes the full
   distribution of the walker's (position, label usage) state forward
   along the focal path, folding outcome tables and acceptance coins
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache
 from typing import Any, NamedTuple, Sequence
 
@@ -132,7 +134,6 @@ class AlphaSchedule:
     node_order: tuple[str, ...]
     alpha: tuple[float, ...]  # one entry per non-sink position
     visit: tuple[float, ...]  # predicted visit probability, sink included
-    skip_sets: tuple[frozenset[int], ...]
     q: float
     x: tuple[float, ...]
 
@@ -181,21 +182,18 @@ def alpha_schedule(
     m = len(focal)
     alphas = []
     visits = []
-    skips = []
     for i in range(m + 1):
-        span = frozenset(
-            e.id
+        skipped = stable_sum(
+            xs[e.id]
             for e in inst.edges
             if e.src in pos and e.dst in pos and pos[e.src] < i < pos[e.dst]
         )
-        skipped = stable_sum(xs[eid] for eid in span)
         if skipped > 1 - q + 1e-9:
             raise ScheduleError(
                 "x/q inconsistent with focal path: "
                 f"mass {float(skipped):.6g} skips {order[i]!r} but 1-q is {float(1 - q):.6g}"
             )
         visit = 1 - skipped / divisor
-        skips.append(span)
         visits.append(visit)
         if i == m:
             break
@@ -205,7 +203,7 @@ def alpha_schedule(
                 f"x/q inconsistent with focal path: alpha {float(a):.9g} at {order[i]!r}"
             )
         alphas.append(min(a, 1))
-    return AlphaSchedule(tuple(focal), order, tuple(alphas), tuple(visits), tuple(skips), q, xs)
+    return AlphaSchedule(tuple(focal), order, tuple(alphas), tuple(visits), q, xs)
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +427,8 @@ def feasibility_probabilities(
         return probs
     if mode != "mc":
         raise ValueError(f"unknown feasibility mode {mode!r}")
+    if trials < 1:
+        raise ValueError("trials must be positive")
     if seed is None:
         raise PolicyError("Monte Carlo feasibility needs an explicit seed")
 
@@ -511,10 +511,6 @@ class FocalWalker:
         path = _compile_path(inst, focal)
         self.caps = path.caps
         self.labeled = isinstance(rule, FeasibilityProbs)
-        if self.labeled and any(inst.edges[eid].labels for eid in path.focal):
-            raise PolicyError("focal path must consist of unlabeled edges")
-        if isinstance(rule, AlphaSchedule) and inst.max_labels_per_edge > 0:
-            raise PolicyError("unlabeled policy cannot run on a labeled instance")
         tables = oracle.choice_tables(spec)
         self.stops: list[_Stop] = []
         for u, path_eid, tents in zip(path.order, path.focal, path.out):
@@ -687,27 +683,6 @@ class PreparedPolicy:
         return PolicyWalk(self.inst, walkers, self.contracted, self.sub_index)
 
 
-def run_modified_width1(
-    inst: Instance,
-    focal: Sequence[int],
-    schedule: AlphaSchedule,
-    spec: OfflineSpec = OPT,
-    rng: random.Random | None = None,
-    *,
-    oracle: Oracle | None = None,
-    realization: Realization | None = None,
-) -> Trajectory:
-    """Walk the focal path once, accepting bypass tentatives with the
-    schedule's alpha.  Core of both width-1 unlabeled variants; with a
-    q=0 schedule this is the plain one, with q>0 the strand-restricted
-    one."""
-    oracle = Oracle(inst) if oracle is None else oracle
-    if schedule.focal != tuple(focal):
-        raise ScheduleError("schedule was built for a different focal path")
-    walker = FocalWalker(inst, focal, oracle, spec, schedule)
-    return PolicyWalk(inst, [walker]).run(rng, realization)
-
-
 def _covering_focal(
     inst: Instance,
     focal: Sequence[int] | None,
@@ -729,6 +704,63 @@ def _covering_focal(
     return cover.paths[0]
 
 
+def _alpha_policy(
+    inst: Instance,
+    focal: Sequence[int],
+    oracle: Oracle,
+    spec: OfflineSpec = OPT,
+    schedule: AlphaSchedule | None = None,
+) -> PreparedPolicy:
+    """The width-1 policy: the alpha rule on `focal` (by default with
+    q = 0).  It ignores label caps, so it refuses a labeled instance."""
+    if inst.max_labels_per_edge > 0:
+        raise PolicyError("unlabeled policy cannot run on a labeled instance")
+    if schedule is None:
+        schedule = alpha_schedule(inst, focal, oracle.edge_probabilities(spec), 0)
+    elif schedule.focal != tuple(focal):
+        raise ScheduleError("schedule was built for a different focal path")
+    run = FocalRun(inst, schedule.focal, oracle, spec, schedule)
+    return PreparedPolicy(inst, oracle, (run,), 1, 0.5, "1/2", {"focal": list(run.focal)})
+
+
+def _labeled_policy(
+    inst: Instance,
+    focal: Sequence[int],
+    oracle: Oracle,
+    spec: OfflineSpec = OPT,
+    probs: FeasibilityProbs | None = None,
+    x: EdgeProbabilities | Sequence[float] | None = None,
+    divisor: float | None = None,
+) -> PreparedPolicy:
+    """The width1-labeled policy: the labeled rule on `focal`.  Path-edge
+    tentatives use no capacity, so it refuses a labeled focal edge."""
+    if any(inst.edges[eid].labels for eid in focal):
+        raise PolicyError("focal path must consist of unlabeled edges")
+    if probs is None:
+        probs = feasibility_probabilities(inst, focal, x, oracle=oracle, spec=spec, divisor=divisor)
+    run = FocalRun(inst, tuple(focal), oracle, spec, probs)
+    bound = 1 / (inst.max_labels_per_edge + 2)
+    return PreparedPolicy(inst, oracle, (run,), 1, bound, "1/(d+2)", {"focal": list(run.focal)})
+
+
+def run_modified_width1(
+    inst: Instance,
+    focal: Sequence[int],
+    schedule: AlphaSchedule,
+    spec: OfflineSpec = OPT,
+    rng: random.Random | None = None,
+    *,
+    oracle: Oracle | None = None,
+    realization: Realization | None = None,
+) -> Trajectory:
+    """Walk the focal path once, accepting bypass tentatives with the
+    schedule's alpha.  Core of both width-1 unlabeled variants; with a
+    q=0 schedule this is the plain one, with q>0 the strand-restricted
+    one."""
+    oracle = Oracle(inst) if oracle is None else oracle
+    return _alpha_policy(inst, focal, oracle, spec, schedule).sampler().run(rng, realization)
+
+
 def run_width1_unlabeled(
     inst: Instance,
     focal: Sequence[int] | None = None,
@@ -740,12 +772,9 @@ def run_width1_unlabeled(
     realization: Realization | None = None,
 ) -> Trajectory:
     """Width-1 policy for unlabeled graphs: guarantees half the prophet."""
-    spec = OPT if spec is None else spec
     oracle = Oracle(inst) if oracle is None else oracle
-    focal = _covering_focal(inst, focal)
-    if schedule is None:
-        schedule = alpha_schedule(inst, focal, oracle.edge_probabilities(spec), 0)
-    return run_modified_width1(inst, focal, schedule, spec, rng, oracle=oracle, realization=realization)
+    prepared = _alpha_policy(inst, _covering_focal(inst, focal), oracle, spec or OPT, schedule)
+    return prepared.sampler().run(rng, realization)
 
 
 def run_width1_labeled(
@@ -767,12 +796,8 @@ def run_width1_labeled(
     focal path itself must be unlabeled and visit every node.
     """
     oracle = Oracle(inst) if oracle is None else oracle
-    spec = OPT if spec is None else spec
-    focal = _covering_focal(inst, focal)
-    if probs is None:
-        probs = feasibility_probabilities(inst, focal, x, oracle=oracle, spec=spec, divisor=divisor)
-    walker = FocalWalker(inst, focal, oracle, spec, probs)
-    return PolicyWalk(inst, [walker]).run(rng, realization)
+    prepared = _labeled_policy(inst, _covering_focal(inst, focal), oracle, spec or OPT, probs, x, divisor)
+    return prepared.sampler().run(rng, realization)
 
 
 # ---------------------------------------------------------------------------
@@ -882,23 +907,10 @@ def prepare_general_cover(
     contraction, picked uniformly per trial."""
     cover = min_path_cover(inst, cover_seed) if cover is None else cover
     contracted = tuple(build_contracted_instance(inst, cover, i) for i in range(cover.width))
-    runs = []
-    for ci in contracted:
-        orc = Oracle(ci.graph)
-        probs = feasibility_probabilities(ci.graph, ci.focal, oracle=orc)
-        runs.append(FocalRun(ci.graph, ci.focal, orc, OPT, probs))
+    runs = tuple(_labeled_policy(ci.graph, ci.focal, Oracle(ci.graph)).runs[0] for ci in contracted)
     bound = 1 / (cover.width * (inst.max_labels_per_edge + 2))
     params = {"cover": [list(p) for p in cover.paths]}
-    return PreparedPolicy(
-        inst, Oracle(inst), tuple(runs), cover.width, bound, "1/(k(d+2))", params, contracted
-    )
-
-
-def exact_general_cover_value(prepared: PreparedPolicy) -> tuple[float, tuple[float, ...]]:
-    """Certified expected value of the general policy: the mean of the
-    k inner exact values (connector values are ignored, they only add)."""
-    inner = tuple(run.value() for run in prepared.runs)
-    return stable_sum(inner) / prepared.width, inner
+    return PreparedPolicy(inst, Oracle(inst), runs, cover.width, bound, "1/(k(d+2))", params, contracted)
 
 
 def run_general_cover_policy(
@@ -952,7 +964,7 @@ def build_disjoint_plan(
     cover = min_path_cover(inst, cover_seed) if cover is None else cover
     oracle = Oracle(inst) if oracle is None else oracle
 
-    internals = [set(order[1:-1]) for order in cover.node_orders]
+    internals = [order[1:-1] for order in cover.node_orders]
     seen: dict[str, int] = {}
     for i, nodes in enumerate(internals):
         for v in nodes:
@@ -1036,17 +1048,12 @@ def _disjoint_policy(inst: Instance, plan: DisjointPlan, oracle: Oracle) -> Prep
     """The disjoint policy on a plan: the alpha rule with divisor 2 - q on
     strand i*, against the strand-restricted baseline."""
     i = plan.i_star
-    spec = plan.specs[i]
-    schedule = alpha_schedule(inst, plan.cover.paths[i], oracle.edge_probabilities(spec), plan.q[i])
-    run = FocalRun(inst, schedule.focal, oracle, spec, schedule)
+    focal, spec = plan.cover.paths[i], plan.specs[i]
+    schedule = alpha_schedule(inst, focal, oracle.edge_probabilities(spec), plan.q[i])
     k = plan.cover.width
     params = {"cover": [list(p) for p in plan.cover.paths], "strand": i, "q": plan.q[i]}
-    return PreparedPolicy(inst, oracle, (run,), k, 1 / (k + 1), "1/(k+1)", params, sub_index=i)
-
-
-def exact_disjoint_value(inst: Instance, plan: DisjointPlan, oracle: Oracle | None = None) -> float:
-    oracle = Oracle(inst) if oracle is None else oracle
-    return _disjoint_policy(inst, plan, oracle).exact_value()
+    strand = _alpha_policy(inst, focal, oracle, spec, schedule)
+    return replace(strand, width=k, bound=1 / (k + 1), bound_label="1/(k+1)", params=params, sub_index=i)
 
 
 def run_disjoint_paths_policy(
@@ -1075,20 +1082,11 @@ def run_disjoint_paths_policy(
 
 
 def _width1(inst: Instance, cover: PathCover | None, cover_seed: int | None) -> PreparedPolicy:
-    oracle = Oracle(inst)
-    focal = _covering_focal(inst, None, cover, cover_seed)
-    schedule = alpha_schedule(inst, focal, oracle.edge_probabilities(OPT), 0)
-    run = FocalRun(inst, focal, oracle, OPT, schedule)
-    return PreparedPolicy(inst, oracle, (run,), 1, 0.5, "1/2", {"focal": list(focal)})
+    return _alpha_policy(inst, _covering_focal(inst, None, cover, cover_seed), Oracle(inst))
 
 
 def _width1_labeled(inst: Instance, cover: PathCover | None, cover_seed: int | None) -> PreparedPolicy:
-    oracle = Oracle(inst)
-    focal = _covering_focal(inst, None, cover, cover_seed)
-    probs = feasibility_probabilities(inst, focal, oracle=oracle)
-    run = FocalRun(inst, focal, oracle, OPT, probs)
-    bound = 1 / (inst.max_labels_per_edge + 2)
-    return PreparedPolicy(inst, oracle, (run,), 1, bound, "1/(d+2)", {"focal": list(focal)})
+    return _labeled_policy(inst, _covering_focal(inst, None, cover, cover_seed), Oracle(inst))
 
 
 def _general(inst: Instance, cover: PathCover | None, cover_seed: int | None) -> PreparedPolicy:

@@ -17,7 +17,6 @@ from pathprophet import (
     Oracle,
     cover_from_paths,
     evaluate_focal_policy,
-    exact_general_cover_value,
     feasibility_probabilities,
     generate_random_instance,
     min_path_cover,
@@ -118,8 +117,8 @@ def test_04_cover_choice_decides_the_general_bound():
     lower = 2 * k - k * k * eps
     horiz = cover_from_paths(inst, inst.meta["horizontal_cover"])
     vert = cover_from_paths(inst, inst.meta["vertical_cover"])
-    h_val = exact_general_cover_value(prepare_general_cover(inst, horiz))[0]
-    v_val = exact_general_cover_value(prepare_general_cover(inst, vert))[0]
+    h_val = prepare_general_cover(inst, horiz).exact_value()
+    v_val = prepare_general_cover(inst, vert).exact_value()
     dt = time.perf_counter() - t0
     ok = (
         e_opt >= lower - 1e-9

@@ -240,6 +240,20 @@ def test_simulate_policy_mismatch_is_policy_error(tmp_path, capsys):
     assert err.startswith("error[policy]:")
 
 
+def test_unlabeled_policy_on_a_labeled_instance_is_refused_alike_in_every_mode(tmp_path, capsys):
+    path = write(tmp_path, upper49(0.1))
+    refusals = [
+        run(capsys, argv)
+        for argv in (
+            ["simulate", path, "--policy", "width1"],
+            ["simulate", path, "--policy", "width1", "--mc", "--seed", "1"],
+            ["trace", path, "--policy", "width1", "--seed", "1"],
+        )
+    ]
+    want = "error[policy]: unlabeled policy cannot run on a labeled instance\n"
+    assert refusals == [(5, "", want)] * 3
+
+
 @pytest.mark.parametrize("family", paper_families())
 def test_gen_every_family_roundtrips(tmp_path, capsys, family):
     out_path = tmp_path / f"{family}.json"

@@ -2,25 +2,32 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from pathprophet import (
+    POLICIES,
     CoverError,
+    Instance,
     Oracle,
     PolicyError,
     ScheduleError,
     alpha_schedule,
     build_disjoint_plan,
+    cover_from_paths,
     enumerate_realizations,
     evaluate_focal_policy,
-    exact_disjoint_value,
-    exact_general_cover_value,
     feasibility_probabilities,
     generate_paper_instance,
     min_path_cover,
+    monte_carlo_estimate,
     prepare_general_cover,
+    prepare_policy,
     run_disjoint_paths_policy,
     run_general_cover_policy,
     run_width1_labeled,
@@ -293,7 +300,7 @@ def test_general_policy_guarantee_and_certified_value():
         prepared = prepare_general_cover(inst)
         k = prepared.width
         d = inst.max_labels_per_edge
-        value, inner = exact_general_cover_value(prepared)
+        value, inner = prepared.exact_value(), [run.value() for run in prepared.runs]
         assert abs(value - sum(inner) / k) < 1e-12
         assert value >= orc.expected_opt() / (k * (d + 2)) - 1e-9
 
@@ -339,7 +346,7 @@ def test_disjoint_guarantee_and_runner_stays_in_strand():
         inst = strands_fuzz(j)
         orc = Oracle(inst)
         plan = build_disjoint_plan(inst, oracle=orc)
-        val = exact_disjoint_value(inst, plan, orc)
+        val = prepare_policy(inst, "disjoint").exact_value()
         assert val >= orc.expected_opt() / (plan.cover.width + 1) - 1e-9
     inst = strands_fuzz(3)
     orc = Oracle(inst)
@@ -408,3 +415,88 @@ def test_walker_thresholds_are_the_engine_acceptances(maker, twin):
                         assert walker.thresholds[eid] is None, (j, name, eid)
     assert checked["labeled"] > 0
     assert checked["alpha"] > 0 or maker is labeled_fuzz
+
+
+# -- one contract between exact and Monte Carlo ------------------------------
+
+
+def refusal(fn):
+    """(value, None) when fn runs, (None, (error type, message)) when it
+    refuses with a policy, cover or schedule error."""
+    try:
+        return fn(), None
+    except (PolicyError, CoverError, ScheduleError) as exc:
+        return None, (type(exc), str(exc))
+
+
+@pytest.mark.parametrize("twin", [False, True], ids=["fraction", "float"])
+@pytest.mark.parametrize("maker", [width1_fuzz, labeled_fuzz, dag_fuzz, strands_fuzz])
+def test_exact_and_monte_carlo_refuse_alike_and_agree(maker, twin):
+    ran = 0
+    for j in range(12):
+        inst = json_twin(maker(j)) if twin else maker(j)
+        for policy in POLICIES:
+            prepared, refused = refusal(lambda: prepare_policy(inst, policy))
+            if refused:
+                continue  # both evaluators read this one preparation
+            exact, exact_refused = refusal(prepared.exact_value)
+            mc, mc_refused = refusal(lambda: monte_carlo_estimate(inst, policy, 300, j, prepared=prepared))
+            assert exact_refused == mc_refused, (j, policy, exact_refused, mc_refused)
+            if exact_refused:
+                continue
+            ran += 1
+            if abs(mc.mean - exact) > 4 * mc.std_err + 1e-9:
+                rerun = monte_carlo_estimate(inst, policy, 1200, j + 1000, prepared=prepared)
+                assert abs(rerun.mean - exact) <= 4 * rerun.std_err + 1e-9, (j, policy, mc, rerun, exact)
+    assert ran > 0
+
+
+def test_preparation_refuses_what_a_rule_cannot_run():
+    with pytest.raises(PolicyError, match="unlabeled policy cannot run on a labeled instance"):
+        prepare_policy(labeled_fuzz(3), "width1")
+    # a one-hop instance whose labeled twin edge makes a covering path
+    inst = Instance.build(
+        ["s", "t"],
+        [("s", "t", ()), ("s", "t", ("red",))],
+        labels={"red": 1},
+        outcomes={"s": [(1.0, {0: 0.0, 1: 1.0})]},
+    )
+    labeled_path = cover_from_paths(inst, [[1]])
+    for policy in ("width1-labeled", "general"):
+        with pytest.raises(PolicyError, match="focal path must consist of unlabeled edges"):
+            prepare_policy(inst, policy, labeled_path)
+    with pytest.raises(PolicyError, match="focal path must consist of unlabeled edges"):
+        run_width1_labeled(inst, focal=[1], rng=random.Random(0))
+
+
+def test_disjoint_plan_names_the_shared_node_whatever_the_hash_seed():
+    tests = Path(__file__).resolve().parent
+    code = (
+        "from conftest import dag_fuzz\n"
+        "from pathprophet import CoverError, prepare_policy\n"
+        "try:\n"
+        "    prepare_policy(dag_fuzz(39), 'disjoint')\n"
+        "except CoverError as exc:\n"
+        "    print(exc)\n"
+    )
+    path = os.pathsep.join([str(tests), str(tests.parent / "src"), os.environ.get("PYTHONPATH", "")])
+    messages = {
+        seed: subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        ).stdout
+        for seed in ("0", "2")
+    }
+    assert messages["0"].startswith("cover paths 0 and 1 share internal node"), messages
+    assert messages["0"] == messages["2"], messages
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_monte_carlo_feasibility_refuses_non_positive_trials(trials):
+    inst = labeled_fuzz(2)
+    with pytest.raises(ValueError, match="trials must be positive"):
+        feasibility_probabilities(inst, focal_of(inst), mode="mc", trials=trials, seed=5)
