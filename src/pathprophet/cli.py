@@ -4,8 +4,8 @@ Subcommands: validate, width, cover, opt, xprobs, online-opt, simulate,
 gen, trace.  Human-readable tables by default, --json for machines.
 Randomized subcommands take --seed; when omitted a seed is generated
 and echoed so any run can be reproduced.  Exit codes: 0 ok, 2 bad
-arguments, 3 validation failure, 4 size cap exceeded, 5 policy/cover
-errors.
+arguments, 3 validation failure (or a value that overflows the float
+range), 4 size cap exceeded, 5 policy/cover errors.
 """
 
 from __future__ import annotations
@@ -268,20 +268,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             d=args.d,
         )
     else:
-        for key in ("eps",):
+        for key in ("eps", "n", "k", "m", "horizon", "periods", "bidders", "items"):
             if getattr(args, key) is not None:
                 params[key] = getattr(args, key)
-        for key, attr in (
-            ("n", "n"),
-            ("k", "k"),
-            ("m", "m"),
-            ("horizon", "horizon"),
-            ("periods", "periods"),
-            ("bidders", "bidders"),
-            ("items", "items"),
-        ):
-            if getattr(args, attr) is not None:
-                params[key] = getattr(args, attr)
         if args.terms is not None:
             params["terms"] = [int(x) for x in args.terms.split(",")]
         if args.seed is not None and args.family == "vertex-matching":
@@ -405,6 +394,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except InvalidInstanceError as exc:
         print(f"error[validation]: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError as exc:
+        print(f"error[validation]: a value overflowed the float range ({exc})", file=sys.stderr)
         return 3
     except (EnumerationCapError, StateCapError) as exc:
         print(f"error[cap]: {exc}", file=sys.stderr)

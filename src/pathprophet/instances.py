@@ -599,6 +599,8 @@ def generate_random_instance(
     rng = random.Random(derive_seed(seed, "inst", shape, n_nodes, max_outcomes, d))
     if n_nodes < 3:
         raise InvalidInstanceError("need at least 3 nodes")
+    if not 1 <= max_outcomes <= 8:
+        raise InvalidInstanceError(f"max_outcomes must be 1..8 (masses are eighths), got {max_outcomes}")
     if shape == "width1":
         nodes = [f"v{i}" for i in range(n_nodes)]
         edges: list[tuple[str, str, tuple]] = []

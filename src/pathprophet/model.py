@@ -31,10 +31,6 @@ class EdgeDef:
     dst: str
     labels: frozenset[str] = frozenset()
 
-    @property
-    def is_labeled(self) -> bool:
-        return bool(self.labels)
-
 
 @dataclass(frozen=True)
 class Outcome:
@@ -68,13 +64,6 @@ class Instance:
         buckets: list[list[EdgeDef]] = [[] for _ in self.nodes]
         for e in self.edges:
             buckets[self.node_index[e.src]].append(e)
-        return tuple(tuple(b) for b in buckets)
-
-    @cached_property
-    def in_edges(self) -> tuple[tuple[EdgeDef, ...], ...]:
-        buckets: list[list[EdgeDef]] = [[] for _ in self.nodes]
-        for e in self.edges:
-            buckets[self.node_index[e.dst]].append(e)
         return tuple(tuple(b) for b in buckets)
 
     @property
@@ -210,9 +199,9 @@ def validate_instance(inst: Instance) -> ValidationReport:
             )
 
     # every labeled edge needs an unlabeled edge with the same endpoints
-    plain = {(e.src, e.dst) for e in inst.edges if not e.is_labeled}
+    plain = {(e.src, e.dst) for e in inst.edges if not e.labels}
     for e in inst.edges:
-        if e.is_labeled and (e.src, e.dst) not in plain:
+        if e.labels and (e.src, e.dst) not in plain:
             rep.violations.append(
                 Violation(
                     "missing-parallel-unlabeled",

@@ -7,7 +7,8 @@ is deterministic.  On top of the per-realization selection this module
 computes expected values, per-edge selection probabilities, and the
 choice distribution at a node conditioned on that node's outcome.  It
 also computes the value of the best fully-informed online walker by
-backward induction.
+backward induction over the same `_BestPathDP` tables, so it shares the
+label-budget state cap check.
 
 Exact statistics take one shared pass per oracle and one accumulation
 per offline spec; no list of realizations is ever built.
@@ -403,12 +404,12 @@ class Oracle:
 
     # -- best fully-informed online walker -----------------------------
 
-    def optimal_online_value(self, state_cap: int | None = None) -> float:
+    def optimal_online_value(self) -> float:
         """Expected value of the walker that sees each node's outcome on
-        arrival and otherwise knows all distributions."""
+        arrival and otherwise knows all distributions, by backward
+        induction over the best-path DP's (node, capacity state) grid."""
         inst = self.inst
-        check_state_cap(len(inst.nodes), [cap for _, cap in self.active_labels], "online", state_cap)
-        dp = _BestPathDP(inst, self.active_labels)
+        dp = self._dp
         value: list = [None] * len(inst.nodes)
         value[-1] = [0] * dp.n_states
         for i in range(len(inst.nodes) - 2, -1, -1):
@@ -445,11 +446,5 @@ def edge_probabilities(inst: Instance, spec: OfflineSpec = OPT, enum_cap: int | 
     return Oracle(inst, enum_cap).edge_probabilities(spec)
 
 
-def conditional_choice_distribution(
-    inst: Instance, node: str, outcome_idx: int, spec: OfflineSpec = OPT, enum_cap: int | None = None
-) -> dict[int | None, float]:
-    return Oracle(inst, enum_cap).conditional_choice_distribution(node, outcome_idx, spec)
-
-
-def optimal_online_value(inst: Instance, state_cap: int | None = None) -> float:
-    return Oracle(inst).optimal_online_value(state_cap)
+def optimal_online_value(inst: Instance) -> float:
+    return Oracle(inst).optimal_online_value()

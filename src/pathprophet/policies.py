@@ -31,7 +31,12 @@ per-edge acceptance table; the labeled coin lives in
   analytically.  Tentative draws are conditionally independent of the
   walker's state given the node outcome, so the forward pass is exact,
   not an approximation.  Exact `FeasibilityProbs` keep the value of
-  the engine run that computed them: a run's only engine run.
+  the engine run that computed them: a run's only engine run.  Monte
+  Carlo ones have no exact value, and asking for one raises.
+
+Both rules take `x_e` and the choice laws from the run's oracle and
+spec, and the labeled coin's divisor is always d + 2 (d = most labels
+on one edge); neither is a parameter.
 
 Draw order of one trial, which a fixed seed reproduces bit for bit:
 one uniform per node that has an outcome table, in node order (unless a
@@ -131,11 +136,9 @@ class AlphaSchedule:
     """
 
     focal: tuple[int, ...]
-    node_order: tuple[str, ...]
     alpha: tuple[float, ...]  # one entry per non-sink position
     visit: tuple[float, ...]  # predicted visit probability, sink included
     q: float
-    x: tuple[float, ...]
 
     @property
     def divisor(self) -> float:
@@ -203,7 +206,7 @@ def alpha_schedule(
                 f"x/q inconsistent with focal path: alpha {float(a):.9g} at {order[i]!r}"
             )
         alphas.append(min(a, 1))
-    return AlphaSchedule(tuple(focal), order, tuple(alphas), tuple(visits), q, xs)
+    return AlphaSchedule(tuple(focal), tuple(alphas), tuple(visits), q)
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +230,6 @@ class FocalPolicyExact:
     feasibility: dict[int, float]
     acceptance: dict[int, float]
     take_prob: dict[int, float]
-    divisor: float
-    focal: tuple[int, ...]
-    node_order: tuple[str, ...]
 
 
 def evaluate_focal_policy(
@@ -237,7 +237,6 @@ def evaluate_focal_policy(
     focal: Sequence[int],
     oracle: Oracle | None = None,
     spec: OfflineSpec = OPT,
-    divisor: float | None = None,
     schedule: AlphaSchedule | None = None,
 ) -> FocalPolicyExact:
     """Push the walker's state distribution along the focal path.
@@ -246,18 +245,15 @@ def evaluate_focal_policy(
     tentatives just walk on; bypass tentatives are accepted with
     alpha(i)).  Without a schedule the labeled rule applies: every
     tentative edge e is accepted with the labeled coin
-    (`_labeled_acceptance`) of p(e), the exact feasible-arrival
-    probability computed on the fly.
+    (`_labeled_acceptance`, divisor d + 2) of p(e), the exact
+    feasible-arrival probability computed on the fly.
     """
     oracle = Oracle(inst) if oracle is None else oracle
     path = _compile_path(inst, focal)
     focal, order, caps = path.focal, path.order, path.caps
-    if schedule is not None:
-        if schedule.focal != focal:
-            raise ScheduleError("schedule was built for a different focal path")
-        divisor = schedule.divisor
-    elif divisor is None:
-        divisor = inst.max_labels_per_edge + 2
+    if schedule is not None and schedule.focal != focal:
+        raise ScheduleError("schedule was built for a different focal path")
+    divisor = inst.max_labels_per_edge + 2
     m = len(focal)
     check_state_cap(m + 1, caps, "arrival")
 
@@ -350,9 +346,6 @@ def evaluate_focal_policy(
         feasibility=feas,
         acceptance=accept,
         take_prob=take,
-        divisor=divisor,
-        focal=focal,
-        node_order=order,
     )
 
 
@@ -366,7 +359,7 @@ class FeasibilityProbs:
 
     p: dict[int, float]
     mode: str  # "exact" or "mc"
-    divisor: float
+    divisor: float  # d + 2
     trials: int | None = None
     seed: int | None = None
     # exact mode: the value of the engine run that computed p
@@ -377,20 +370,18 @@ class FeasibilityProbs:
         return {eid: _labeled_acceptance(self.divisor, p) for eid, p in self.p.items() if p > 0}
 
     def _exact_value(self, run: FocalRun) -> float:
-        if self._value is not None:
-            return self._value
-        return evaluate_focal_policy(run.graph, run.focal, run.oracle, run.spec, self.divisor).value
+        if self._value is None:
+            raise PolicyError("Monte Carlo feasibility probabilities have no exact value")
+        return self._value
 
 
 def feasibility_probabilities(
     inst: Instance,
     focal: Sequence[int],
-    x: EdgeProbabilities | Sequence[float] | None = None,
     mode: str = "exact",
     *,
     oracle: Oracle | None = None,
     spec: OfflineSpec = OPT,
-    divisor: float | None = None,
     trials: int = 4000,
     seed: int | None = None,
 ) -> FeasibilityProbs:
@@ -403,19 +394,11 @@ def feasibility_probabilities(
     would bootstrap itself.  Estimated acceptances are clamped to [0,1].
     """
     oracle = Oracle(inst) if oracle is None else oracle
-    if divisor is None:
-        divisor = inst.max_labels_per_edge + 2
-    if x is not None:
-        xs = tuple(x.x) if isinstance(x, EdgeProbabilities) else tuple(x)
-        ours = oracle.edge_probabilities(spec).x
-        for eid in range(len(inst.edges)):
-            if abs(xs[eid] - ours[eid]) > 1e-6:
-                raise PolicyError(f"supplied x disagrees with the offline baseline at edge {eid}")
+    divisor = inst.max_labels_per_edge + 2
     if mode == "exact":
-        stats = evaluate_focal_policy(inst, focal, oracle, spec, divisor=divisor)
-        d = inst.max_labels_per_edge
-        if spec.kind == "opt" and divisor == d + 2:
-            floor = 1 / (d + 2)
+        stats = evaluate_focal_policy(inst, focal, oracle, spec)
+        if spec.kind == "opt":
+            floor = 1 / divisor
             for eid, pe in stats.feasibility.items():
                 if pe < floor - 1e-9:
                     raise PolicyError(
@@ -592,9 +575,7 @@ class PolicyWalk:
         self.walkers = tuple(walkers)
         self.sub_index = sub_index
         # per cover path and contracted edge: the real edges it replays as
-        self.replay = contracted and [
-            [(r.original_id, *r.connector) for r in ci.edges] for ci in contracted
-        ]
+        self.replay = contracted and [ci.edges for ci in contracted]
         self.tables = [cumulative([o.p for o in t]) if t else None for t in inst.tables]
         self.src = [inst.node_index[e.src] for e in inst.edges]
         ratios = [
@@ -729,15 +710,13 @@ def _labeled_policy(
     oracle: Oracle,
     spec: OfflineSpec = OPT,
     probs: FeasibilityProbs | None = None,
-    x: EdgeProbabilities | Sequence[float] | None = None,
-    divisor: float | None = None,
 ) -> PreparedPolicy:
     """The width1-labeled policy: the labeled rule on `focal`.  Path-edge
     tentatives use no capacity, so it refuses a labeled focal edge."""
     if any(inst.edges[eid].labels for eid in focal):
         raise PolicyError("focal path must consist of unlabeled edges")
     if probs is None:
-        probs = feasibility_probabilities(inst, focal, x, oracle=oracle, spec=spec, divisor=divisor)
+        probs = feasibility_probabilities(inst, focal, oracle=oracle, spec=spec)
     run = FocalRun(inst, tuple(focal), oracle, spec, probs)
     bound = 1 / (inst.max_labels_per_edge + 2)
     return PreparedPolicy(inst, oracle, (run,), 1, bound, "1/(d+2)", {"focal": list(run.focal)})
@@ -780,23 +759,21 @@ def run_width1_unlabeled(
 def run_width1_labeled(
     inst: Instance,
     focal: Sequence[int] | None = None,
-    x: EdgeProbabilities | Sequence[float] | None = None,
     probs: FeasibilityProbs | None = None,
     rng: random.Random | None = None,
     *,
     oracle: Oracle | None = None,
     spec: OfflineSpec | None = None,
     realization: Realization | None = None,
-    divisor: float | None = None,
 ) -> Trajectory:
     """Width-1 policy for label-capacitated graphs.
 
-    Tentative edge e is accepted with the labeled coin of p(e) and
-    divisor, which defaults to d+2 for d = most labels on any edge.  The
-    focal path itself must be unlabeled and visit every node.
+    Tentative edge e is accepted with the labeled coin of p(e) and d+2,
+    for d = most labels on any edge.  The focal path itself must be
+    unlabeled and visit every node.
     """
     oracle = Oracle(inst) if oracle is None else oracle
-    prepared = _labeled_policy(inst, _covering_focal(inst, focal), oracle, spec or OPT, probs, x, divisor)
+    prepared = _labeled_policy(inst, _covering_focal(inst, focal), oracle, spec or OPT, probs)
     return prepared.sampler().run(rng, realization)
 
 
@@ -805,18 +782,12 @@ def run_width1_labeled(
 
 
 @dataclass(frozen=True)
-class ContractedEdge:
-    new_id: int
-    original_id: int
-    connector: tuple[int, ...]  # original unlabeled edges appended on replay
-
-
-@dataclass(frozen=True)
 class ContractedInstance:
     graph: Instance
     focal: tuple[int, ...]  # new ids of the cover path's edges
-    edges: tuple[ContractedEdge, ...]
-    path_index: int
+    # per new edge id: its original id, then the original unlabeled
+    # connector edges appended on replay
+    edges: tuple[tuple[int, ...], ...]
 
 
 def build_contracted_instance(inst: Instance, cover: PathCover, index: int) -> ContractedInstance:
@@ -857,7 +828,7 @@ def build_contracted_instance(inst: Instance, cover: PathCover, index: int) -> C
         return shortest_unlabeled_path(inst, v, order[earliest[inst.node_index[v]]])
 
     edge_specs: list[tuple[str, str, frozenset[str]]] = []
-    records: list[ContractedEdge] = []
+    replay: list[tuple[int, ...]] = []
     new_of: dict[int, int] = {}
     for u in order[:-1]:
         ui = inst.node_index[u]
@@ -874,10 +845,9 @@ def build_contracted_instance(inst: Instance, cover: PathCover, index: int) -> C
                     )
                 target = order[ep]
                 conn = connector_for(v)
-            new_id = len(edge_specs)
-            new_of[e.id] = new_id
+            new_of[e.id] = len(edge_specs)
             edge_specs.append((u, target, e.labels))
-            records.append(ContractedEdge(new_id, e.id, conn))
+            replay.append((e.id, *conn))
 
     outcomes = {}
     for u in order[:-1]:
@@ -894,7 +864,7 @@ def build_contracted_instance(inst: Instance, cover: PathCover, index: int) -> C
         meta={"cover_path": index},
     )
     focal = tuple(new_of[eid] for eid in path_edges)
-    return ContractedInstance(graph, focal, tuple(records), index)
+    return ContractedInstance(graph, focal, tuple(replay))
 
 
 def prepare_general_cover(
@@ -940,14 +910,14 @@ class DisjointPlan:
     f[i] is the probability the prophet's path stays inside strand i's
     edges; q[i] the probability the strand-restricted baseline equals
     the strand path itself; the policy runs the modified width-1 rule
-    on the strand maximizing expected_restricted / (2 - q).
+    on the strand maximizing its restricted baseline's expected value
+    over 2 - q.
     """
 
     cover: PathCover
     edge_sets: tuple[frozenset[int], ...]
     f: tuple[float, ...]
     q: tuple[float, ...]
-    expected_restricted: tuple[float, ...]
     specs: tuple[OfflineSpec, ...]
     i_star: int
 
@@ -1038,7 +1008,6 @@ def build_disjoint_plan(
         tuple(frozenset(s) for s in edge_sets),
         tuple(f),
         tuple(q),
-        tuple(expected),
         specs,
         i_star,
     )

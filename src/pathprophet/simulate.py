@@ -152,7 +152,6 @@ def competitive_report(
     cover: PathCover | None = None,
     cover_seed: int | None = None,
     include_online: bool = False,
-    state_cap: int | None = None,
 ) -> CompetitiveReport:
     """Bundle E(ALG) against E(OPT), the policy's guarantee, and a
     pass/fail flag.  Exact mode checks e_alg >= bound * e_opt - 1e-9;
@@ -173,7 +172,7 @@ def competitive_report(
         realized = run_report.realized_mean
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    online = float(prep.oracle.optimal_online_value(state_cap)) if include_online else None
+    online = float(prep.oracle.optimal_online_value()) if include_online else None
     ratio = e_alg / e_opt if e_opt > 0 else None
     if mode == "exact" and ratio is not None and ratio > 1 + 1e-9:
         raise PolicyError(f"exact ratio {ratio:.12g} exceeds 1; evaluation is inconsistent")

@@ -28,17 +28,15 @@ def default_enum_cap() -> int:
     return cap if cap > 0 else DEFAULT_ENUM_CAP
 
 
-def check_state_cap(positions: int, caps: Iterable[int], kind: str, cap: int | None = None) -> None:
+def check_state_cap(positions: int, caps: Iterable[int], kind: str) -> None:
     """Refuse, before it allocates anything, a dynamic program over
     `positions` times every remaining-capacity vector of labels with
-    capacities `caps` when those states exceed `cap` (default:
-    DEFAULT_STATE_CAP)."""
+    capacities `caps` when those states exceed DEFAULT_STATE_CAP."""
     n_states = positions
     for c in caps:
         n_states *= c + 1
-    cap = DEFAULT_STATE_CAP if cap is None else cap
-    if n_states > cap:
-        raise StateCapError(f"{n_states} {kind} states exceed cap {cap}")
+    if n_states > DEFAULT_STATE_CAP:
+        raise StateCapError(f"{n_states} {kind} states exceed cap {DEFAULT_STATE_CAP}")
 
 
 def stable_sum(values: Iterable) -> float | Fraction:

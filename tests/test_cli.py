@@ -375,6 +375,39 @@ def test_opt_over_the_label_budget_cap_exits_4_with_one_line(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error[cap]:")
 
 
+# passes `validate`, but its path value 2e308 overflows a float
+HUGE_DOC = {
+    "nodes": ["s", "a", "t"],
+    "edges": [{"id": 0, "src": "s", "dst": "a"}, {"id": 1, "src": "a", "dst": "t"}],
+    "outcomes": {"s": [{"p": 1, "values": {"0": 1e308}}], "a": [{"p": 1, "values": {"1": 1e308}}]},
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["opt", "{doc}"],
+        ["opt", "{doc}", "--mc", "--seed", "1"],
+        ["xprobs", "{doc}"],
+        ["simulate", "{doc}", "--policy", "width1"],
+        ["simulate", "{doc}", "--policy", "width1", "--mc", "--seed", "1"],
+        ["trace", "{doc}", "--policy", "width1", "--seed", "1"],
+        ["gen", "classic", "--n", "1025", "-o", "{out}"],
+        ["gen", "classic", "--n", "3", "--eps", "1e-300", "-o", "{out}"],
+    ],
+)
+def test_float_overflow_exits_3_with_one_line(tmp_path, capsys, argv):
+    doc = tmp_path / "huge.json"
+    doc.write_text(json.dumps(HUGE_DOC))
+    assert run(capsys, ["validate", str(doc)])[0] == 0
+    argv = [a.format(doc=doc, out=tmp_path / "out.json") for a in argv]
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error[validation]: a value overflowed the float range")
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_opt_mc_refuses_non_positive_trials(tmp_path, capsys, trials):
     path = write(tmp_path, two_candidate(0.5))

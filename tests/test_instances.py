@@ -229,6 +229,12 @@ def test_random_instance_is_seed_deterministic():
     assert instance_to_dict(a) != instance_to_dict(c)
 
 
+@pytest.mark.parametrize("max_outcomes", [0, 9, -2])
+def test_random_instance_refuses_max_outcomes_outside_one_to_eight(max_outcomes):
+    with pytest.raises(InvalidInstanceError, match="max_outcomes must be 1..8"):
+        generate_random_instance(3, shape="dag", n_nodes=7, max_outcomes=max_outcomes)
+
+
 def test_random_width1_shape_has_width_one():
     for seed in range(8):
         inst = generate_random_instance(seed, shape="width1", n_nodes=6)

@@ -203,9 +203,6 @@ def test_feasibility_probabilities_floor_and_mc():
 
     with pytest.raises(PolicyError):
         feasibility_probabilities(inst, focal, mode="mc", oracle=orc)  # seed missing
-    with pytest.raises(PolicyError):
-        wrong = [0.0] * len(inst.edges)
-        feasibility_probabilities(inst, focal, x=wrong, oracle=orc)
 
 
 def test_sampler_walks_are_valid_and_deterministic():
@@ -500,3 +497,15 @@ def test_monte_carlo_feasibility_refuses_non_positive_trials(trials):
     inst = labeled_fuzz(2)
     with pytest.raises(ValueError, match="trials must be positive"):
         feasibility_probabilities(inst, focal_of(inst), mode="mc", trials=trials, seed=5)
+
+
+def test_a_run_on_monte_carlo_feasibility_has_no_exact_value():
+    from pathprophet import OPT
+    from pathprophet.policies import FocalRun
+
+    inst = labeled_fuzz(2)
+    focal = focal_of(inst)
+    orc = Oracle(inst)
+    mc = feasibility_probabilities(inst, focal, mode="mc", oracle=orc, trials=50, seed=5)
+    with pytest.raises(PolicyError, match="no exact value"):
+        FocalRun(inst, focal, orc, OPT, mc).value()
