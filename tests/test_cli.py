@@ -392,6 +392,7 @@ HUGE_DOC = {
         ["simulate", "{doc}", "--policy", "width1"],
         ["simulate", "{doc}", "--policy", "width1", "--mc", "--seed", "1"],
         ["trace", "{doc}", "--policy", "width1", "--seed", "1"],
+        ["online-opt", "{doc}"],
         ["gen", "classic", "--n", "1025", "-o", "{out}"],
         ["gen", "classic", "--n", "3", "--eps", "1e-300", "-o", "{out}"],
     ],

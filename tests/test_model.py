@@ -182,10 +182,11 @@ def test_enumerate_realizations_matches_product():
     assert abs(sum(r.mass for r in ours) - 1) < 1e-12
 
 
-def test_enumeration_cap_message():
+def test_enumeration_cap_message(monkeypatch):
     inst = diamond()
+    monkeypatch.setenv("PATHPROPHET_ENUM_CAP", "1")
     with pytest.raises(EnumerationCapError, match="enumeration too large, use Monte Carlo"):
-        enumerate_realizations(inst, cap=1)
+        enumerate_realizations(inst)
 
 
 def test_fraction_tables_stay_exact():

@@ -237,7 +237,8 @@ def test_label_budget_and_arrival_states_are_capped_before_allocation():
         evaluate_focal_policy(inst, focal)
 
 
-def test_enumeration_cap_is_checked_before_the_shared_pass():
+def test_enumeration_cap_is_checked_before_the_shared_pass(monkeypatch):
     inst = generate_paper_instance("mchoice", n=4, m=2)
+    monkeypatch.setenv("PATHPROPHET_ENUM_CAP", "1")
     with pytest.raises(EnumerationCapError, match="enumeration too large, use Monte Carlo"):
-        Oracle(inst, enum_cap=1).expected_opt()
+        Oracle(inst).expected_opt()

@@ -14,6 +14,7 @@ from pathprophet import (
     POLICIES,
     CoverError,
     Instance,
+    InvalidInstanceError,
     Oracle,
     PolicyError,
     ScheduleError,
@@ -464,6 +465,23 @@ def test_preparation_refuses_what_a_rule_cannot_run():
             prepare_policy(inst, policy, labeled_path)
     with pytest.raises(PolicyError, match="focal path must consist of unlabeled edges"):
         run_width1_labeled(inst, focal=[1], rng=random.Random(0))
+
+
+def test_exact_and_monte_carlo_refuse_alike_on_a_focal_node_without_outcome_table():
+    # an unvalidated library instance: only the source has a table
+    inst = Instance.build(
+        ["s", "a", "t"],
+        [("s", "a", ()), ("a", "t", ()), ("s", "t", ())],
+        outcomes={"s": [(0.5, {0: 1.0, 2: 0.0}), (0.5, {0: 0.0, 2: 1.0})]},
+    )
+    msg = "node 'a' has no outcome table"
+    with pytest.raises(InvalidInstanceError, match=msg):
+        evaluate_focal_policy(inst, (0, 1))
+    prepared = prepare_policy(inst, "width1")
+    with pytest.raises(InvalidInstanceError, match=msg):
+        prepared.exact_value()
+    with pytest.raises(InvalidInstanceError, match=msg):
+        prepared.sampler().run(random.Random(0))
 
 
 def test_disjoint_plan_names_the_shared_node_whatever_the_hash_seed():
