@@ -23,7 +23,6 @@ from .model import (
     EdgeDef,
     Instance,
     Outcome,
-    Realization,
     ValidationReport,
     active_label_caps,
     enumerate_realizations,
@@ -37,10 +36,8 @@ from .model import (
 )
 from .oracle import (
     OPT,
-    EdgeProbabilities,
     OfflineSpec,
     Oracle,
-    edge_probabilities,
     expected_opt,
     optimal_online_value,
     restricted_spec,
@@ -84,7 +81,6 @@ __all__ = [
     "CoverError",
     "DisjointPlan",
     "EdgeDef",
-    "EdgeProbabilities",
     "EnumerationCapError",
     "FocalPolicyExact",
     "Instance",
@@ -98,7 +94,6 @@ __all__ = [
     "PathProphetError",
     "PolicyError",
     "PolicyRunReport",
-    "Realization",
     "ScheduleError",
     "StateCapError",
     "Trajectory",
@@ -108,7 +103,6 @@ __all__ = [
     "build_disjoint_plan",
     "competitive_report",
     "cover_from_paths",
-    "edge_probabilities",
     "enumerate_realizations",
     "evaluate_focal_policy",
     "exact_policy_value",

@@ -146,13 +146,13 @@ def _cmd_opt(args: argparse.Namespace) -> int:
 
 def _cmd_xprobs(args: argparse.Namespace) -> int:
     inst = _load_checked(args.instance)
-    probs = Oracle(inst).edge_probabilities()
+    x = Oracle(inst).edge_probabilities()
     if args.json:
-        _emit_json({"x": {str(i): float(v) for i, v in enumerate(probs.x)}})
+        _emit_json({"x": {str(i): float(v) for i, v in enumerate(x)}})
     else:
         for e in inst.edges:
             lbl = f" [{','.join(sorted(e.labels))}]" if e.labels else ""
-            print(f"edge {e.id:3d} {e.src} -> {e.dst}{lbl}: x = {float(probs.x[e.id]):.9g}")
+            print(f"edge {e.id:3d} {e.src} -> {e.dst}{lbl}: x = {float(x[e.id]):.9g}")
     return 0
 
 

@@ -176,6 +176,9 @@ def cover_from_paths(inst: Instance, paths: list[list[int]] | tuple[tuple[int, .
     for p in paths:
         if not p:
             raise CoverError("cover path must contain at least one edge")
+        for eid in p:
+            if type(eid) is not int or not 0 <= eid < len(inst.edges):
+                raise CoverError(f"cover path names {eid!r}, which is not an edge id of the instance")
         order = [inst.edges[p[0]].src]
         for eid in p:
             e = inst.edges[eid]

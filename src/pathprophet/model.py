@@ -66,6 +66,11 @@ class Instance:
             buckets[self.node_index[e.src]].append(e)
         return tuple(tuple(b) for b in buckets)
 
+    @cached_property
+    def draw_tables(self) -> tuple[tuple[list[float], int] | None, ...]:
+        """Per node the `util.cumulative` table `sample_realization` draws from (None without one)."""
+        return tuple(cumulative([o.p for o in t]) if t else None for t in self.tables)
+
     @property
     def source(self) -> str:
         return self.nodes[0]
@@ -106,19 +111,6 @@ class Instance:
             rows = outcomes.get(name, ())
             tables.append(tuple(Outcome(p, dict(vals)) for p, vals in rows))
         return cls(names, tuple(edges), dict(labels or {}), tuple(tables), meta)
-
-
-@dataclass(frozen=True)
-class Realization:
-    """A full sample of the instance: one outcome index per node.
-
-    `values[e]` is the sampled value of edge id e; `mass` is the joint
-    probability (product over nodes, by independence across nodes).
-    """
-
-    choices: tuple[int, ...]
-    values: tuple[float, ...]
-    mass: float
 
 
 @dataclass(frozen=True)
@@ -296,16 +288,6 @@ def active_label_caps(inst: Instance) -> tuple[tuple[str, int], ...]:
     )
 
 
-def _fill_values(inst: Instance, choices: Sequence[int]) -> tuple[float, ...]:
-    values = [0.0] * len(inst.edges)
-    for i, table in enumerate(inst.tables):
-        if not table:
-            continue
-        for eid, v in table[choices[i]].values.items():
-            values[eid] = v
-    return tuple(values)
-
-
 def enumeration_size(inst: Instance) -> int:
     """`realization_count`, refused with EnumerationCapError above
     `default_enum_cap()`."""
@@ -318,31 +300,16 @@ def enumeration_size(inst: Instance) -> int:
     return count
 
 
-def enumerate_realizations(inst: Instance) -> list[Realization]:
-    """All joint realizations in deterministic (node-major) order."""
+def enumerate_realizations(inst: Instance) -> list[tuple[int, ...]]:
+    """Every realization as its outcome index per node (0 without a table), in node-major order."""
     enumeration_size(inst)
-    ranges = [range(len(t)) if t else range(1) for t in inst.tables]
-    out = []
-    for choices in itertools.product(*ranges):
-        mass = 1  # int seed keeps Fraction-valued masses exact
-        for i, table in enumerate(inst.tables):
-            if table:
-                mass *= table[choices[i]].p
-        out.append(Realization(tuple(choices), _fill_values(inst, choices), mass))
-    return out
+    return list(itertools.product(*(range(len(t) or 1) for t in inst.tables)))
 
 
-def sample_realization(inst: Instance, rng: random.Random) -> Realization:
-    choices = []
-    mass = 1
-    for table in inst.tables:
-        if not table:
-            choices.append(0)
-            continue
-        j = pick(cumulative([o.p for o in table]), rng.random())
-        choices.append(j)
-        mass *= table[j].p
-    return Realization(tuple(choices), _fill_values(inst, choices), mass)
+def sample_realization(inst: Instance, rng: random.Random) -> list[int]:
+    """Outcome index per node (0 without a table): one uniform per tabled node, in node order."""
+    rand = rng.random
+    return [0 if t is None else pick(t, rand()) for t in inst.draw_tables]
 
 
 def instance_to_dict(inst: Instance) -> dict[str, Any]:
@@ -418,10 +385,13 @@ def instance_from_dict(d: Mapping[str, Any]) -> Instance:
                 raise InvalidInstanceError(f"bad outcome row for node {node!r}: need an object with p and values")
             if not _NUMBER_TYPES.issuperset(map(type, [row.get("p"), *values.values()])):
                 raise InvalidInstanceError(f"bad outcome row for node {node!r}: p and values must be numbers")
-            try:
-                vals = {int(k): float(v) for k, v in values.items()}
+            try:  # a key is its edge id in plain decimal: "00", "+0" or "1_0" would alias another key
+                vals = {int(k): float(v) for k, v in values.items() if str(int(k)) == k}
             except ValueError as exc:
                 raise InvalidInstanceError(f"bad outcome row for node {node!r}: {exc}") from exc
+            if len(vals) != len(values):
+                bad = next(k for k in values if str(int(k)) != k)
+                raise InvalidInstanceError(f"bad outcome row for node {node!r}: value key {bad!r} is not an edge id")
             parsed.append((float(row["p"]), vals))
         outcomes[node] = parsed
     meta = d.get("meta")

@@ -45,14 +45,8 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import InvalidInstanceError
-from .model import (
-    Instance,
-    Realization,
-    active_label_caps,
-    enumeration_size,
-    sample_realization,
-)
-from .util import check_state_cap, cumulative, derive_seed, stable_sum
+from .model import Instance, active_label_caps, enumeration_size, sample_realization
+from .util import check_state_cap, derive_seed, stable_sum
 
 
 @dataclass(frozen=True)
@@ -92,14 +86,6 @@ class PathSelection:
 
 
 @dataclass(frozen=True)
-class EdgeProbabilities:
-    """x[e] = probability the offline selection uses edge e."""
-
-    x: tuple[float, ...]
-    spec: OfflineSpec
-
-
-@dataclass(frozen=True)
 class _SpecData:
     expected: float
     x: tuple[float, ...]
@@ -121,8 +107,9 @@ class _BestPathDP:
     lexicographically smallest best one.  The label transitions (`trans`:
     per edge id the child state per state, or None for an edge that uses
     no binding label) and every node's edge values per outcome (`values`)
-    are built once; the online DP, the policies' exact engine and their
-    walker read them too.  Callers check the state count first.
+    are built once.  The online DP reads both, `opt_path` reads `values`,
+    and the policies' exact engine and walker read `trans`.  Callers
+    check the state count first.
     """
 
     def __init__(self, inst: Instance, active_labels: tuple[tuple[str, int], ...]):
@@ -226,14 +213,16 @@ class Oracle:
 
     # -- per-realization selection ------------------------------------
 
-    def opt_path(self, realization: Realization, spec: OfflineSpec = OPT) -> PathSelection:
+    def opt_path(self, choices: Sequence[int], spec: OfflineSpec = OPT) -> PathSelection:
+        """The spec's path and its value when node i draws outcome `choices[i]`."""
         dp = self._dp
-        values = realization.values
+        rows = [vals[o] for vals, o in zip(dp.values, choices)]
         vrows, prows = dp.fresh_rows()
         for i in range(len(dp.out) - 2, -1, -1):
-            dp.row(i, [values[eid] for eid, _, _ in dp.out[i]], vrows, prows)
+            dp.row(i, rows[i], vrows, prows)
         edges = spec.select(dp.path(dp.source_id(vrows, prows)))
-        return PathSelection(edges, stable_sum(values[eid] for eid in edges))
+        value = {eid: v for out, vals in zip(dp.out, rows) for (eid, _, _), v in zip(out, vals)}
+        return PathSelection(edges, stable_sum(value[eid] for eid in edges))
 
     @cached_property
     def _best_ids(self) -> array:
@@ -356,8 +345,9 @@ class Oracle:
     def expected_opt(self, spec: OfflineSpec = OPT) -> float:
         return self._annotate(spec).expected
 
-    def edge_probabilities(self, spec: OfflineSpec = OPT) -> EdgeProbabilities:
-        return EdgeProbabilities(self._annotate(spec).x, spec)
+    def edge_probabilities(self, spec: OfflineSpec = OPT) -> tuple[float, ...]:
+        """x[e]: the probability that the spec's path uses edge e."""
+        return self._annotate(spec).x
 
     def choice_laws(self, node: str, spec: OfflineSpec = OPT) -> tuple[tuple[float, ...], ...]:
         """Per outcome of `node`: the law of the offline selection's edge
@@ -377,11 +367,6 @@ class Oracle:
         keys: list[int | None] = [e.id for e in self.inst.out_edges[self.inst.node_index[node]]]
         return dict(zip(keys + [None], law))
 
-    def choice_tables(self, spec: OfflineSpec = OPT) -> dict[int, list[tuple[list[float], int]]]:
-        """The conditional choice laws as float cumulative tables
-        (`util.cumulative`) per node index with a table, for samplers."""
-        return {i: [cumulative(law) for law in laws] for i, laws in self._annotate(spec).laws.items()}
-
     def path_distribution(self, spec: OfflineSpec = OPT) -> dict[tuple[int, ...], float]:
         return dict(self._annotate(spec).paths)
 
@@ -393,8 +378,7 @@ class Oracle:
         terms = []
         for j in range(trials):
             rng = random.Random(derive_seed(seed, "opt", j))
-            r = sample_realization(self.inst, rng)
-            terms.append(self.opt_path(r, spec).value)
+            terms.append(self.opt_path(sample_realization(self.inst, rng), spec).value)
         return stable_sum(terms) / trials
 
     # -- best fully-informed online walker -----------------------------
@@ -438,10 +422,6 @@ class Oracle:
 
 def expected_opt(inst: Instance, spec: OfflineSpec = OPT) -> float:
     return Oracle(inst).expected_opt(spec)
-
-
-def edge_probabilities(inst: Instance, spec: OfflineSpec = OPT) -> EdgeProbabilities:
-    return Oracle(inst).edge_probabilities(spec)
 
 
 def optimal_online_value(inst: Instance) -> float:

@@ -41,15 +41,16 @@ of the oracle's best-path DP (capacity left per binding label), and an
 edge's label transition is the DP's.
 
 Draw order of one trial, which a fixed seed reproduces bit for bit:
-one uniform per node that has an outcome table, in node order (unless a
-realization is supplied); then `randrange(k)` for the general policy;
-then per visited node one uniform for the tentative edge and a coin by
-the acceptance rule.  The alpha rule (`width1`, `disjoint`) draws a
-coin for every bypass tentative.  The labeled rule (`width1-labeled`,
-`general`) draws a bookkeeping coin for a path-edge tentative and a
-coin for a bypass tentative with capacity left.  The staged rule of MC
-feasibility draws a coin only for a bypass tentative with capacity
-left and an acceptance already estimated.  A coin is compared against
+one uniform per node that has an outcome table, in node order
+(`model.sample_realization`, unless choices are supplied); then
+`randrange(k)` for the general policy; then per visited node one
+uniform for the tentative edge and a coin by the acceptance rule.  The
+alpha rule (`width1`, `disjoint`) draws a coin for every bypass
+tentative.  The labeled rule (`width1-labeled`, `general`) draws a
+bookkeeping coin for a path-edge tentative and a coin for a bypass
+tentative with capacity left.  The staged rule of MC feasibility draws
+a coin only for a bypass tentative with capacity left and an
+acceptance already estimated.  A coin is compared against
 `exact_threshold` of the acceptance probability, which decides exactly
 as the exact (possibly `Fraction`) probability would.
 """
@@ -63,9 +64,9 @@ from functools import cache
 from typing import Any, NamedTuple, Sequence
 
 from .cover import PathCover, min_path_cover, shortest_unlabeled_path
-from .errors import CoverError, InvalidInstanceError, PolicyError, ScheduleError
-from .model import Instance, Realization
-from .oracle import OPT, EdgeProbabilities, OfflineSpec, Oracle, restricted_spec
+from .errors import CoverError, PolicyError, ScheduleError
+from .model import Instance, sample_realization
+from .oracle import OPT, OfflineSpec, Oracle, restricted_spec
 from .util import TOL, check_state_cap, cumulative, derive_seed, exact_threshold, pick, stable_sum
 
 
@@ -74,6 +75,9 @@ def path_nodes(inst: Instance, focal: Sequence[int]) -> tuple[str, ...]:
     source to sink."""
     if not focal:
         raise PolicyError("focal path must contain at least one edge")
+    for eid in focal:
+        if type(eid) is not int or not 0 <= eid < len(inst.edges):
+            raise PolicyError(f"focal path names {eid!r}, which is not an edge id of the instance")
     seq = [inst.edges[focal[0]].src]
     for eid in focal:
         e = inst.edges[eid]
@@ -156,7 +160,7 @@ class AlphaSchedule:
 def alpha_schedule(
     inst: Instance,
     focal: Sequence[int],
-    x: EdgeProbabilities | Sequence[float],
+    x: Sequence[float],
     q: float = 0,
 ) -> AlphaSchedule:
     """Build the acceptance schedule for a focal path from offline
@@ -167,16 +171,15 @@ def alpha_schedule(
     the strand-restricted variant.  Raises ScheduleError when x and q
     cannot have come from a baseline living on this focal path.
     """
-    xs = tuple(x.x) if isinstance(x, EdgeProbabilities) else tuple(x)
-    if len(xs) != len(inst.edges):
-        raise ScheduleError(f"x has {len(xs)} entries for {len(inst.edges)} edges")
+    if len(x) != len(inst.edges):
+        raise ScheduleError(f"x has {len(x)} entries for {len(inst.edges)} edges")
     order = path_nodes(inst, focal)
     pos = {name: i for i, name in enumerate(order)}
     for e in inst.edges:
-        if xs[e.id] > TOL and (e.src not in pos or e.dst not in pos):
+        if x[e.id] > TOL and (e.src not in pos or e.dst not in pos):
             raise ScheduleError(
                 "x/q inconsistent with focal path: "
-                f"offline mass {float(xs[e.id]):.6g} sits on edge {e.id} off the focal surface"
+                f"offline mass {float(x[e.id]):.6g} sits on edge {e.id} off the focal surface"
             )
     divisor = 2 - q
     m = len(focal)
@@ -184,7 +187,7 @@ def alpha_schedule(
     visits = []
     for i in range(m + 1):
         skipped = stable_sum(
-            xs[e.id]
+            x[e.id]
             for e in inst.edges
             if e.src in pos and e.dst in pos and pos[e.src] < i < pos[e.dst]
         )
@@ -255,7 +258,7 @@ def evaluate_focal_policy(
     m = len(focal)
     check_state_cap(m + 1, [cap for _, cap in oracle.active_labels], "arrival")
 
-    xs = oracle.edge_probabilities(spec).x
+    xs = oracle.edge_probabilities(spec)
     path = _compile_path(inst, focal, order, oracle)
     for e in inst.edges:
         if xs[e.id] > TOL and (e.src not in path.pos or e.dst not in path.pos):
@@ -411,14 +414,13 @@ def feasibility_probabilities(
         raise PolicyError("Monte Carlo feasibility needs an explicit seed")
 
     walker = FocalWalker(inst, focal, oracle, spec, None)  # staged rule
-    draw = PolicyWalk(inst, [walker]).draw
     est: dict[int, float] = {}
     for i, stop in enumerate(walker.stops):
         tents = stop.tents[:-1]
         hits = [0] * len(tents)
         for j in range(trials):
             rng = random.Random(derive_seed(seed, "feas", i, j))
-            _, cur, state = walker.walk(rng, draw(rng), stop=i)
+            _, cur, state = walker.walk(rng, sample_realization(inst, rng), stop=i)
             if cur != i:
                 continue  # skipped past this position
             for k, t in enumerate(tents):
@@ -487,16 +489,14 @@ class FocalWalker:
         home = inst if home is None else home
         focal = tuple(focal)
         order = path_nodes(inst, focal)
-        tables = oracle.choice_tables(spec)
+        laws = [[cumulative(row) for row in oracle.choice_laws(u, spec)] for u in order[:-1]]
         path = _compile_path(inst, focal, order, oracle)
         self.full = path.full
         self.labeled = isinstance(rule, FeasibilityProbs)
-        self.stops: list[_Stop] = []
-        for u, path_eid, tents in zip(path.order, path.focal, path.out):
-            ui = inst.node_index[u]
-            if ui not in tables:
-                raise InvalidInstanceError(f"node {u!r} has no outcome table")
-            self.stops.append(_Stop(u, home.node_index[u], path_eid, tables[ui], [*tents, None]))
+        self.stops = [
+            _Stop(u, home.node_index[u], path_eid, node_laws, [*tents, None])
+            for u, path_eid, tents, node_laws in zip(path.order, path.focal, path.out, laws)
+        ]
         self.thresholds: list[float | None] = [None] * len(inst.edges)
         for eid, a in ({} if rule is None else rule._acceptance(path)).items():
             self.thresholds[eid] = exact_threshold(a)
@@ -555,11 +555,11 @@ class FocalWalker:
 
 class PolicyWalk:
     """A policy's trajectory sampler, compiled by one sampler call:
-    per node of `inst` a float cumulative table over outcome masses,
-    every edge value as an integer numerator over one common denominator
-    (a walk's value is the float of its exact sum), and one walker per
-    cover path.  With several, one is picked uniformly and its
-    contracted walk replayed on `inst` through `contracted`."""
+    every edge value of `inst` as an integer numerator over one common
+    denominator (a walk's value is the float of its exact sum), and one
+    walker per cover path.  With several, one is picked uniformly and
+    its contracted walk replayed on `inst` through `contracted`.  A
+    trial's realization is `sample_realization` on the trial's stream."""
 
     def __init__(
         self,
@@ -568,11 +568,11 @@ class PolicyWalk:
         contracted: Sequence[ContractedInstance] | None = None,
         sub_index: int | None = None,
     ):
+        self.inst = inst
         self.walkers = tuple(walkers)
         self.sub_index = sub_index
         # per cover path and contracted edge: the real edges it replays as
         self.replay = contracted and [ci.edges for ci in contracted]
-        self.tables = [cumulative([o.p for o in t]) if t else None for t in inst.tables]
         self.src = [inst.node_index[e.src] for e in inst.edges]
         ratios = [
             [o.values.get(e.id, 0).as_integer_ratio() for o in inst.tables[s]] or [(0, 1)]
@@ -581,21 +581,16 @@ class PolicyWalk:
         self.den = math.lcm(*(d for row in ratios for _, d in row))
         self.nums = [tuple(n * (self.den // d) for n, d in row) for row in ratios]
 
-    def draw(self, rng: random.Random) -> list[int]:
-        """Outcome choice per node: one uniform per node with a table."""
-        rand = rng.random
-        return [0 if t is None else pick(t, rand()) for t in self.tables]
-
     def value(self, choices: Sequence[int], edges: Sequence[int]) -> float:
         nums, src = self.nums, self.src
         return sum(nums[e][choices[src[e]]] for e in edges) / self.den
 
     def run(
-        self, rng: random.Random | None, realization: Realization | None = None, record: bool = True
+        self, rng: random.Random | None, choices: Sequence[int] | None = None, record: bool = True
     ) -> Trajectory:
         if rng is None:
             raise PolicyError("a random.Random must be supplied")
-        choices = self.draw(rng) if realization is None else realization.choices
+        choices = sample_realization(self.inst, rng) if choices is None else choices
         steps: list[StepRecord] | None = [] if record else None
         if not self.replay:
             edges = self.walkers[0].walk(rng, choices, steps)[0]
@@ -726,14 +721,14 @@ def run_modified_width1(
     rng: random.Random | None = None,
     *,
     oracle: Oracle | None = None,
-    realization: Realization | None = None,
+    choices: Sequence[int] | None = None,
 ) -> Trajectory:
     """Walk the focal path once, accepting bypass tentatives with the
     schedule's alpha.  Core of both width-1 unlabeled variants; with a
     q=0 schedule this is the plain one, with q>0 the strand-restricted
     one."""
     oracle = Oracle(inst) if oracle is None else oracle
-    return _alpha_policy(inst, focal, oracle, spec, schedule).sampler().run(rng, realization)
+    return _alpha_policy(inst, focal, oracle, spec, schedule).sampler().run(rng, choices)
 
 
 def run_width1_unlabeled(
@@ -744,12 +739,12 @@ def run_width1_unlabeled(
     rng: random.Random | None = None,
     *,
     oracle: Oracle | None = None,
-    realization: Realization | None = None,
+    choices: Sequence[int] | None = None,
 ) -> Trajectory:
     """Width-1 policy for unlabeled graphs: guarantees half the prophet."""
     oracle = Oracle(inst) if oracle is None else oracle
     prepared = _alpha_policy(inst, _covering_focal(inst, focal), oracle, spec or OPT, schedule)
-    return prepared.sampler().run(rng, realization)
+    return prepared.sampler().run(rng, choices)
 
 
 def run_width1_labeled(
@@ -760,7 +755,7 @@ def run_width1_labeled(
     *,
     oracle: Oracle | None = None,
     spec: OfflineSpec | None = None,
-    realization: Realization | None = None,
+    choices: Sequence[int] | None = None,
 ) -> Trajectory:
     """Width-1 policy for label-capacitated graphs.
 
@@ -770,7 +765,7 @@ def run_width1_labeled(
     """
     oracle = Oracle(inst) if oracle is None else oracle
     prepared = _labeled_policy(inst, _covering_focal(inst, focal), oracle, spec or OPT, probs)
-    return prepared.sampler().run(rng, realization)
+    return prepared.sampler().run(rng, choices)
 
 
 # ---------------------------------------------------------------------------
@@ -885,14 +880,14 @@ def run_general_cover_policy(
     rng: random.Random | None = None,
     *,
     prepared: PreparedPolicy | None = None,
-    realization: Realization | None = None,
+    choices: Sequence[int] | None = None,
 ) -> Trajectory:
     """Pick one cover path uniformly, run the labeled width-1 policy on
     its contraction, and replay the walk on the real graph, expanding
     artificial edges with their stored connectors."""
     if prepared is None:
         prepared = prepare_general_cover(inst, cover)
-    return prepared.sampler().run(rng, realization)
+    return prepared.sampler().run(rng, choices)
 
 
 # ---------------------------------------------------------------------------
@@ -1028,7 +1023,7 @@ def run_disjoint_paths_policy(
     rng: random.Random | None = None,
     *,
     oracle: Oracle | None = None,
-    realization: Realization | None = None,
+    choices: Sequence[int] | None = None,
 ) -> Trajectory:
     """Strand policy for unlabeled graphs covered by internally
     disjoint paths: restrict the baseline to the best strand and walk
@@ -1036,7 +1031,7 @@ def run_disjoint_paths_policy(
     oracle = Oracle(inst) if oracle is None else oracle
     if plan is None:
         plan = build_disjoint_plan(inst, cover, oracle=oracle)
-    return _disjoint_policy(inst, plan, oracle).sampler().run(rng, realization)
+    return _disjoint_policy(inst, plan, oracle).sampler().run(rng, choices)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import itertools
 import random
 from collections import defaultdict
 
-from pathprophet import Realization, StateCapError, enumerate_realizations, sample_realization
+from pathprophet import StateCapError, sample_realization
 from pathprophet.oracle import OPT
 from pathprophet.util import derive_seed, stable_sum
 
@@ -303,15 +303,9 @@ def conditional_choice_distribution_mc(oracle, node, outcome_idx, trials, seed, 
     tally[None] = 0
     for j in range(trials):
         rng = random.Random(derive_seed(seed, "cond", node, outcome_idx, j))
-        r = sample_realization(inst, rng)
-        if r.choices[i] != outcome_idx:
-            forced = list(r.choices)
-            forced[i] = outcome_idx
-            values = list(r.values)
-            for eid, v in inst.tables[i][outcome_idx].values.items():
-                values[eid] = v
-            r = Realization(tuple(forced), tuple(values), 0.0)
-        sel = oracle.opt_path(r, spec)
+        choices = sample_realization(inst, rng)
+        choices[i] = outcome_idx
+        sel = oracle.opt_path(choices, spec)
         tally[next((eid for eid in sel.edges if eid in edge_src), None)] += 1
     return {k: v / trials for k, v in tally.items()}
 
@@ -342,16 +336,15 @@ def annotation_reference(oracle, spec=OPT):
     law_mass = {i: [{} for _ in table] for i, table in enumerate(inst.tables) if table}
     paths = {}
     value_terms = []
-    for r in enumerate_realizations(inst):
-        sel = oracle.opt_path(r, spec)
-        m = r.mass
+    for choices, _, m in iter_realizations(inst):
+        sel = oracle.opt_path(choices, spec)
         value_terms.append(m * sel.value)
         at = {edge_src[e]: e for e in sel.edges}
         for e in sel.edges:
             x[e] += m
         paths[sel.edges] = paths.get(sel.edges, 0) + m
         for i, laws in law_mass.items():
-            law = laws[r.choices[i]]
+            law = laws[choices[i]]
             key = at.get(i)
             law[key] = law.get(key, 0) + m
     cond = {}

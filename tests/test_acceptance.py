@@ -167,7 +167,7 @@ def test_06_selection_probabilities_match_the_offline_relaxation():
         orc = Oracle(inst)
         focal = min_path_cover(inst).paths[0]
         engine = evaluate_focal_policy(inst, focal, orc)
-        x = orc.edge_probabilities().x
+        x = orc.edge_probabilities()
         fs = set(focal)
         for e in inst.edges:
             if e.id not in fs:
@@ -180,7 +180,7 @@ def test_06_selection_probabilities_match_the_offline_relaxation():
         orc = Oracle(inst)
         focal = min_path_cover(inst).paths[0]
         engine = evaluate_focal_policy(inst, focal, orc)
-        x = orc.edge_probabilities().x
+        x = orc.edge_probabilities()
         d = inst.max_labels_per_edge
         fs = set(focal)
         for e in inst.edges:
@@ -280,7 +280,7 @@ def test_09_offline_selection_mass_crosses_every_cut_once():
     for _policy, make in SUITES:
         for j in range(200):
             inst = make(j)
-            x = Oracle(inst).edge_probabilities().x
+            x = Oracle(inst).edge_probabilities()
             for cut in closed_cuts(inst):
                 worst = max(worst, abs(sum(x[e] for e in cut) - 1))
                 n_cuts += 1

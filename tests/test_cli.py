@@ -342,6 +342,19 @@ MALFORMED = {
     "string-mass": '{"nodes": ["s", "t"], "edges": [{"src": "s", "dst": "t"}], "outcomes": {"s": [{"p": "1", "values": {"0": 1}}]}}',
     "bool-value": '{"nodes": ["s", "t"], "edges": [{"src": "s", "dst": "t"}], "outcomes": {"s": [{"p": 1, "values": {"0": true}}]}}',
     "outcomes-list": '{"nodes": ["s", "t"], "edges": [{"src": "s", "dst": "t"}], "outcomes": [%s]}' % ROW,
+    # "00" names edge 0 as "0" does, and the later key would win
+    "aliased-value-key": (
+        '{"nodes": ["s", "t"], "edges": [{"src": "s", "dst": "t"}, {"src": "s", "dst": "t"}],'
+        ' "outcomes": {"s": [{"p": 1, "values": {"0": 1, "00": 5, "1": 2}}]}}'
+    ),
+    # int("1_0") is 10
+    "underscore-value-key": (
+        '{"nodes": ["s", "t"], "edges": [{"src": "s", "dst": "t"}, {"src": "s", "dst": "t"}],'
+        ' "outcomes": {"s": [{"p": 1, "values": {"0": 1, "1_0": 2}}]}}'
+    ),
+    # past int()'s digit limit for strings
+    "long-value-key": '{"nodes": ["s", "t"], "edges": [{"src": "s", "dst": "t"}], "outcomes": {"s": [{"p": 1, "values": {"%s": 1}}]}}'
+    % ("1" * 5000),
 }
 
 

@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathprophet import (
     CoverError,
+    Oracle,
+    PolicyError,
+    evaluate_focal_policy,
     generate_paper_instance,
     generate_random_instance,
     min_path_cover,
 )
 from pathprophet.cover import cover_from_paths, shortest_unlabeled_path
+from pathprophet.policies import path_nodes
 
 from bruteforce import is_antichain, max_antichain_bruteforce
 from conftest import dag_fuzz, diamond, strands_fuzz, width1_fuzz
@@ -93,6 +99,22 @@ def test_cover_from_paths_roundtrip_and_rejects_gaps():
     assert again.paths == cov.paths
     with pytest.raises(CoverError):
         cover_from_paths(inst, [cov.paths[0]])  # leaves a node uncovered
+
+
+@pytest.mark.parametrize(
+    "path, bad",
+    [([-7, -6, -5, -4], -7), ([99], 99), ([0, 1, 2, 3.0], 3.0), ([False, 1, 2, 3], False)],
+    ids=["negative", "past-the-end", "float", "bool"],
+)
+def test_cover_and_focal_paths_refuse_ids_that_are_not_edges(path, bad):
+    inst = width1_fuzz(1)  # 7 edges; 0, 1, 2, 3 is its covering path
+    named = re.escape(f"names {bad!r},")
+    with pytest.raises(CoverError, match=named):
+        cover_from_paths(inst, [path])
+    with pytest.raises(PolicyError, match=named):
+        path_nodes(inst, path)
+    with pytest.raises(PolicyError, match=named):
+        evaluate_focal_policy(inst, path, Oracle(inst))
 
 
 def test_shortest_unlabeled_path_is_shortest():

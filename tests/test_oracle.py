@@ -51,9 +51,9 @@ def test_opt_path_matches_bruteforce_per_realization():
     for inst in FUZZ[:40]:
         orc = Oracle(inst)
         paths = all_feasible_paths(inst)
-        for r in enumerate_realizations(inst):
-            sel = orc.opt_path(r)
-            ref_edges, ref_value = best_feasible_path(paths, r.values)
+        for choices, values, _ in iter_realizations(inst):
+            sel = orc.opt_path(choices)
+            ref_edges, ref_value = best_feasible_path(paths, values)
             assert sel.edges == ref_edges
             assert abs(sel.value - ref_value) < 1e-12
 
@@ -63,7 +63,7 @@ def test_offline_statistics_match_bruteforce():
         orc = Oracle(inst)
         expected, x, cond, path_dist = offline_statistics(inst)
         assert abs(orc.expected_opt() - expected) < 1e-9
-        got_x = orc.edge_probabilities().x
+        got_x = orc.edge_probabilities()
         assert max(abs(a - b) for a, b in zip(got_x, x)) < 1e-9
         got_paths = orc.path_distribution()
         assert set(got_paths) == set(path_dist)
@@ -87,19 +87,19 @@ def test_restricted_spec_matches_bruteforce():
     spec = restricted_spec(allowed, fallback)
     exp_ref, x_ref, _, dist_ref = offline_statistics(inst, allowed, fallback)
     assert abs(orc.expected_opt(spec) - exp_ref) < 1e-9
-    got_x = orc.edge_probabilities(spec).x
+    got_x = orc.edge_probabilities(spec)
     assert max(abs(a - b) for a, b in zip(got_x, x_ref)) < 1e-9
     got = orc.path_distribution(spec)
     for p, m in dist_ref.items():
         assert abs(got[p] - m) < 1e-9
-    for r in enumerate_realizations(inst):
-        sel = orc.opt_path(r, spec)
+    for choices, _, _ in iter_realizations(inst):
+        sel = orc.opt_path(choices, spec)
         assert set(sel.edges) <= allowed or sel.edges == tuple(fallback)
 
 
 def test_x_is_a_unit_flow():
     for inst in FUZZ[:40]:
-        x = Oracle(inst).edge_probabilities().x
+        x = Oracle(inst).edge_probabilities()
         for i, name in enumerate(inst.nodes):
             inflow = sum(x[e.id] for e in inst.edges if e.dst == name)
             outflow = sum(x[e.id] for e in inst.out_edges[i])
@@ -115,8 +115,9 @@ def test_expected_opt_mc_within_four_standard_errors():
     inst = diamond()
     orc = Oracle(inst)
     exact = orc.expected_opt()
-    values = [orc.opt_path(r).value for r in enumerate_realizations(inst)]
-    masses = [r.mass for r in enumerate_realizations(inst)]
+    realizations = list(iter_realizations(inst))
+    values = [orc.opt_path(choices).value for choices, _, _ in realizations]
+    masses = [mass for _, _, mass in realizations]
     var = sum(m * (v - exact) ** 2 for v, m in zip(values, masses))
     trials = 3000
     est = orc.expected_opt_mc(trials, seed=11)
@@ -201,7 +202,7 @@ def test_statistics_equal_the_per_realization_loop(twin):
             restricted += spec.kind == "restricted"
             expected, x, paths, cond = annotation_reference(Oracle(inst), spec)
             assert orc.expected_opt(spec) == expected
-            assert orc.edge_probabilities(spec).x == x
+            assert orc.edge_probabilities(spec) == x
             assert list(orc.path_distribution(spec).items()) == list(paths.items())
             for name, rows in cond.items():
                 for o, law in enumerate(rows):
@@ -220,8 +221,8 @@ def test_chain_longer_than_the_recursion_limit_annotates():
     inst = Instance.build(nodes, edges, outcomes=outcomes)
     orc = Oracle(inst)
     assert orc.expected_opt() == annotation_reference(orc)[0]
-    assert orc.edge_probabilities().x[1] == 0.5
-    assert orc.edge_probabilities().x[2 * (n - 2) + 1] == 0.5
+    assert orc.edge_probabilities()[1] == 0.5
+    assert orc.edge_probabilities()[2 * (n - 2) + 1] == 0.5
 
 
 def test_label_budget_and_arrival_states_are_capped_before_allocation():

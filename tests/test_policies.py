@@ -21,7 +21,6 @@ from pathprophet import (
     alpha_schedule,
     build_disjoint_plan,
     cover_from_paths,
-    enumerate_realizations,
     evaluate_focal_policy,
     feasibility_probabilities,
     generate_paper_instance,
@@ -33,12 +32,13 @@ from pathprophet import (
     run_general_cover_policy,
     run_width1_labeled,
     run_width1_unlabeled,
+    sample_realization,
     validate_instance,
 )
 from pathprophet.cover import PathCover
 from pathprophet.policies import run_modified_width1
 
-from bruteforce import offline_statistics, policy_tree
+from bruteforce import iter_realizations, offline_statistics, policy_tree
 from conftest import dag_fuzz, diamond, labeled_fuzz, strands_fuzz, width1_fuzz
 
 SMALL = [j for j in range(40) if 4 + j % 4 <= 5]  # fuzz seeds giving <= 5 nodes
@@ -244,9 +244,29 @@ def test_sampler_value_matches_supplied_realization():
     orc = Oracle(inst)
     focal = focal_of(inst)
     sched = alpha_schedule(inst, focal, orc.edge_probabilities(), 0)
-    r = enumerate_realizations(inst)[0]
-    traj = run_modified_width1(inst, focal, sched, rng=random.Random(1), oracle=orc, realization=r)
-    assert abs(traj.value - sum(r.values[eid] for eid in traj.edges)) < 1e-12
+    choices, values, _ = next(iter_realizations(inst))
+    traj = run_modified_width1(inst, focal, sched, rng=random.Random(1), oracle=orc, choices=choices)
+    assert abs(traj.value - sum(values[eid] for eid in traj.edges)) < 1e-12
+
+
+@pytest.mark.parametrize("twin", [False, True], ids=["fraction", "float"])
+def test_a_trial_walks_sample_realization_on_its_own_stream(twin):
+    ran = set()
+    for maker in (width1_fuzz, labeled_fuzz, dag_fuzz, strands_fuzz):
+        inst = json_twin(maker(3)) if twin else maker(3)
+        for policy in POLICIES:
+            prepared, refused = refusal(lambda: prepare_policy(inst, policy))
+            if refused:
+                continue
+            walk = prepared.sampler()
+            for s in range(5):
+                rng = random.Random(s)
+                drawn = refusal(lambda: walk.run(random.Random(s)))
+                supplied = refusal(lambda: walk.run(rng, choices=sample_realization(inst, rng)))
+                assert drawn == supplied, (maker.__name__, policy, s)
+                if drawn[1] is None:
+                    ran.add(policy)
+    assert ran == set(POLICIES)
 
 
 def test_unlabeled_policy_rejects_labeled_instance():

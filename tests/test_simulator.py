@@ -102,7 +102,6 @@ def test_monte_carlo_rejects_bad_trials():
 
 
 def test_exact_reports_build_no_sampler(monkeypatch):
-    from pathprophet.oracle import Oracle
     from pathprophet.policies import FocalWalker, PolicyWalk
 
     def refuse(*args, **kwargs):
@@ -110,7 +109,6 @@ def test_exact_reports_build_no_sampler(monkeypatch):
 
     monkeypatch.setattr(FocalWalker, "__init__", refuse)
     monkeypatch.setattr(PolicyWalk, "__init__", refuse)
-    monkeypatch.setattr(Oracle, "choice_tables", refuse)
     for policy in POLICIES:
         rep = competitive_report(maker_for(policy)(4), policy)
         assert rep.mode == "exact" and rep.bound_ok
