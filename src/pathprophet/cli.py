@@ -178,7 +178,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         mode="mc" if args.mc else "exact",
         trials=args.trials if args.mc else None,
         seed=seed,
-        cover_seed=args.cover_seed,
+        cover=min_path_cover(inst, args.cover_seed),
         include_online=args.online,
     )
     if args.json:
@@ -210,7 +210,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     inst = _load_checked(args.instance)
     seed, generated = (args.seed, False) if args.seed is not None else (_fresh_seed(), True)
-    walk = prepare_policy(inst, args.policy, None, args.cover_seed).sampler()
+    walk = prepare_policy(inst, args.policy, min_path_cover(inst, args.cover_seed)).sampler()
     traj = walk.run(random.Random(derive_seed(seed, "traj", 0)))
     if args.json:
         _emit_json(
@@ -253,28 +253,28 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+# the flags `gen random` takes, as `generate_random_instance` names them
+_RANDOM_PARAMS = {"seed": "seed", "shape": "shape", "nodes": "n_nodes", "outcomes": "max_outcomes", "d": "d"}
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
-    params: dict[str, Any] = {}
+    # every family parameter given; the family's own check refuses the extras
+    skip = ("command", "func", "family", "out", "json")
+    params = {k: v for k, v in vars(args).items() if v is not None and k not in skip}
+    if "terms" in params:
+        params["terms"] = [int(x) for x in params["terms"].split(",")]
     generated = False
     if args.family == "random":
-        seed = args.seed
-        if seed is None:
-            seed, generated = _fresh_seed(), True
-        inst = generate_random_instance(
-            seed,
-            shape=args.shape,
-            n_nodes=args.nodes,
-            max_outcomes=args.outcomes,
-            d=args.d,
-        )
+        unknown = sorted(set(params) - set(_RANDOM_PARAMS))
+        if unknown:
+            raise ValueError(
+                f"family 'random' does not take {', '.join(map(repr, unknown))}; "
+                f"it accepts: {', '.join(_RANDOM_PARAMS)}"
+            )
+        if "seed" not in params:
+            params["seed"], generated = _fresh_seed(), True
+        inst = generate_random_instance(**{_RANDOM_PARAMS[key]: value for key, value in params.items()})
     else:
-        for key in ("eps", "n", "k", "m", "horizon", "periods", "bidders", "items"):
-            if getattr(args, key) is not None:
-                params[key] = getattr(args, key)
-        if args.terms is not None:
-            params["terms"] = [int(x) for x in args.terms.split(",")]
-        if args.seed is not None and args.family == "vertex-matching":
-            params["seed"] = args.seed
         inst = generate_paper_instance(args.family, **params)
     save_instance(inst, args.out)
     payload = {
@@ -309,6 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_json(p: argparse.ArgumentParser) -> None:
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
+    def add_cover_seed(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--cover-seed", type=int, default=None, help="seed that picks among the minimum path covers")
+
     p = sub.add_parser("validate", help="check an instance file")
     p.add_argument("instance")
     add_json(p)
@@ -316,13 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("width", help="minimum number of covering paths")
     p.add_argument("instance")
-    p.add_argument("--cover-seed", type=int, default=None)
+    add_cover_seed(p)
     add_json(p)
     p.set_defaults(func=_cmd_width)
 
     p = sub.add_parser("cover", help="print a minimum path cover")
     p.add_argument("instance")
-    p.add_argument("--cover-seed", type=int, default=None)
+    add_cover_seed(p)
     add_json(p)
     p.set_defaults(func=_cmd_cover)
 
@@ -352,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--mc", action="store_true", help="Monte Carlo estimate")
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--cover-seed", type=int, default=None)
+    add_cover_seed(p)
     p.add_argument("--online", action="store_true", help="include the optimal online value")
     add_json(p)
     p.set_defaults(func=_cmd_simulate)
@@ -370,10 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bidders", type=int, default=None)
     p.add_argument("--items", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--shape", choices=("dag", "width1", "strands"), default="dag")
-    p.add_argument("--nodes", type=int, default=6)
-    p.add_argument("--outcomes", type=int, default=3)
-    p.add_argument("--d", type=int, default=0, choices=(0, 1, 2))
+    p.add_argument("--shape", choices=("dag", "width1", "strands"), default=None)
+    p.add_argument("--nodes", type=int, default=None)
+    p.add_argument("--outcomes", type=int, default=None)
+    p.add_argument("--d", type=int, default=None, choices=(0, 1, 2))
     add_json(p)
     p.set_defaults(func=_cmd_gen)
 
@@ -381,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--policy", choices=POLICIES, required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--cover-seed", type=int, default=None)
+    add_cover_seed(p)
     add_json(p)
     p.set_defaults(func=_cmd_trace)
 

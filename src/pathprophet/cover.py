@@ -4,7 +4,12 @@ The width of an instance is the smallest number of source-to-sink paths
 whose node sets together cover every node; it equals the size of a
 largest antichain of the reachability order.  `min_path_cover` builds
 an actual cover of that size (the tests cross-check it against a
-brute-force antichain search on small graphs).
+brute-force antichain search on small graphs); a seed picks among
+equally small covers.
+
+`cover_from_paths` builds every `PathCover`, from explicit edge-id
+paths, and `chain_nodes` is the one check that an edge-id path (a cover
+path here, a focal path in `policies`) chains from source to sink.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import CoverError
 from .model import Instance
@@ -145,8 +151,6 @@ def min_path_cover(inst: Instance, seed: int | None = None) -> PathCover:
 
     names = inst.nodes
     paths = []
-    orders = []
-    covered: set[str] = set()
     for chain in chains:
         edges: list[int] = []
         hops = [0] + chain if chain[0] != 0 else list(chain)
@@ -154,42 +158,34 @@ def min_path_cover(inst: Instance, seed: int | None = None) -> PathCover:
             hops.append(n - 1)
         for a, b in zip(hops, hops[1:]):
             edges.extend(shortest_unlabeled_path(inst, names[a], names[b]))
-        order = [inst.edges[edges[0]].src] if edges else [inst.source]
-        for eid in edges:
-            order.append(inst.edges[eid].dst)
         paths.append(tuple(edges))
-        orders.append(tuple(order))
-        covered.update(order)
-    if covered != set(names):
-        raise CoverError("constructed cover misses nodes: " + ", ".join(sorted(set(names) - covered)))
     if len(paths) != n - sum(1 for v in match_l if v != -1):
         raise CoverError("chain count disagrees with matching size")
-    return PathCover(tuple(paths), tuple(orders))
+    return cover_from_paths(inst, paths)
 
 
-def cover_from_paths(inst: Instance, paths: list[list[int]] | tuple[tuple[int, ...], ...]) -> PathCover:
-    """Wrap explicit edge-id paths as a PathCover, checking they are
-    genuine source-to-sink paths that jointly cover every node."""
-    out_paths = []
-    orders = []
-    covered: set[str] = set()
-    for p in paths:
-        if not p:
-            raise CoverError("cover path must contain at least one edge")
-        for eid in p:
-            if type(eid) is not int or not 0 <= eid < len(inst.edges):
-                raise CoverError(f"cover path names {eid!r}, which is not an edge id of the instance")
-        order = [inst.edges[p[0]].src]
-        for eid in p:
-            e = inst.edges[eid]
-            if e.src != order[-1]:
-                raise CoverError(f"edge {eid} does not continue the path at {order[-1]!r}")
-            order.append(e.dst)
-        if order[0] != inst.source or order[-1] != inst.sink:
-            raise CoverError("cover path must run from source to sink")
-        out_paths.append(tuple(p))
-        orders.append(tuple(order))
-        covered.update(order)
-    if covered != set(inst.nodes):
-        raise CoverError("paths do not cover all nodes: missing " + ", ".join(sorted(set(inst.nodes) - covered)))
-    return PathCover(tuple(out_paths), tuple(orders))
+def chain_nodes(inst: Instance, path: Sequence[int], noun: str, error: type[Exception]) -> tuple[str, ...]:
+    """Node sequence of an edge-id path, checking that every id is an edge
+    id, that the edges chain, and that the path runs from source to sink.
+    A refusal raises `error`, naming the path by `noun`."""
+    nodes = [inst.source]
+    for eid in path:
+        if type(eid) is not int or not 0 <= eid < len(inst.edges):
+            raise error(f"{noun} path names {eid!r}, which is not an edge id of the instance")
+        e = inst.edges[eid]
+        if e.src != nodes[-1]:
+            raise error(f"{noun} edge {eid} does not continue the path at {nodes[-1]!r}")
+        nodes.append(e.dst)
+    if nodes[-1] != inst.sink:
+        raise error(f"{noun} path must run from source to sink")
+    return tuple(nodes)
+
+
+def cover_from_paths(inst: Instance, paths: Sequence[Sequence[int]]) -> PathCover:
+    """The PathCover of explicit edge-id paths, checking that each is a
+    source-to-sink path and that together they cover every node."""
+    orders = tuple(chain_nodes(inst, p, "cover", CoverError) for p in paths)
+    missing = set(inst.nodes).difference(*orders)
+    if missing:
+        raise CoverError("paths do not cover all nodes: missing " + ", ".join(sorted(missing)))
+    return PathCover(tuple(tuple(p) for p in paths), orders)

@@ -53,30 +53,27 @@ from .util import check_state_cap, derive_seed, stable_sum
 class OfflineSpec:
     """Which offline path the statistics refer to.
 
-    kind "opt": unrestricted best path.
-    kind "restricted": the unrestricted best path when its edges all lie
-    inside `allowed`, otherwise the fixed `fallback` path.
+    With `allowed` None (`OPT`): the unrestricted best path.  Otherwise
+    the unrestricted best path when its edges all lie inside `allowed`,
+    else the fixed `fallback` path.
     """
 
-    kind: str = "opt"
     allowed: frozenset[int] | None = None
     fallback: tuple[int, ...] | None = None
 
     def select(self, best: tuple[int, ...]) -> tuple[int, ...]:
         """The spec's path in a realization whose unrestricted best path
         is `best`."""
-        if self.kind == "restricted":
-            return best if self.allowed.issuperset(best) else self.fallback
-        if self.kind != "opt":
-            raise ValueError(f"unknown offline spec kind {self.kind!r}")
-        return best
+        if self.allowed is None or self.allowed.issuperset(best):
+            return best
+        return self.fallback
 
 
 OPT = OfflineSpec()
 
 
 def restricted_spec(allowed, fallback) -> OfflineSpec:
-    return OfflineSpec("restricted", frozenset(allowed), tuple(fallback))
+    return OfflineSpec(frozenset(allowed), tuple(fallback))
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,7 @@ from dataclasses import dataclass, field, replace
 from functools import cache
 from typing import Any, NamedTuple, Sequence
 
-from .cover import PathCover, min_path_cover, shortest_unlabeled_path
+from .cover import PathCover, chain_nodes, cover_from_paths, min_path_cover, shortest_unlabeled_path
 from .errors import CoverError, PolicyError, ScheduleError
 from .model import Instance, sample_realization
 from .oracle import OPT, OfflineSpec, Oracle, restricted_spec
@@ -73,20 +73,7 @@ from .util import TOL, check_state_cap, cumulative, derive_seed, exact_threshold
 def path_nodes(inst: Instance, focal: Sequence[int]) -> tuple[str, ...]:
     """Node sequence of a focal path, validating that it chains from
     source to sink."""
-    if not focal:
-        raise PolicyError("focal path must contain at least one edge")
-    for eid in focal:
-        if type(eid) is not int or not 0 <= eid < len(inst.edges):
-            raise PolicyError(f"focal path names {eid!r}, which is not an edge id of the instance")
-    seq = [inst.edges[focal[0]].src]
-    for eid in focal:
-        e = inst.edges[eid]
-        if e.src != seq[-1]:
-            raise PolicyError(f"focal edge {eid} does not start at {seq[-1]!r}")
-        seq.append(e.dst)
-    if seq[0] != inst.source or seq[-1] != inst.sink:
-        raise PolicyError("focal path must run from source to sink")
-    return tuple(seq)
+    return chain_nodes(inst, focal, "focal", PolicyError)
 
 
 class _Tentative(NamedTuple):
@@ -397,7 +384,7 @@ def feasibility_probabilities(
     divisor = inst.max_labels_per_edge + 2
     if mode == "exact":
         stats = evaluate_focal_policy(inst, focal, oracle, spec)
-        if spec.kind == "opt":
+        if spec.allowed is None:
             floor = 1 / divisor
             for eid, pe in stats.feasibility.items():
                 if pe < floor - 1e-9:
@@ -656,19 +643,16 @@ class PreparedPolicy:
 
 
 def _covering_focal(
-    inst: Instance,
-    focal: Sequence[int] | None,
-    cover: PathCover | None = None,
-    cover_seed: int | None = None,
+    inst: Instance, focal: Sequence[int] | None, cover: PathCover | None = None
 ) -> tuple[int, ...]:
     """The path a width-1 policy walks: `focal`, checked to visit every
-    node, or else the single path of `cover` (default: a minimum cover)."""
+    node, or else the single path of `cover` (default: the unseeded minimum cover)."""
     if focal is not None:
         focal = tuple(focal)
         if set(path_nodes(inst, focal)) != set(inst.nodes):
             raise PolicyError("focal path must visit every node")
         return focal
-    cover = min_path_cover(inst, cover_seed) if cover is None else cover
+    cover = min_path_cover(inst) if cover is None else cover
     if cover.width != 1:
         raise PolicyError(
             f"width-1 policy needs a single covering path; this cover has {cover.width} paths"
@@ -858,15 +842,10 @@ def build_contracted_instance(inst: Instance, cover: PathCover, index: int) -> C
     return ContractedInstance(graph, focal, tuple(replay))
 
 
-def prepare_general_cover(
-    inst: Instance,
-    cover: PathCover | None = None,
-    *,
-    cover_seed: int | None = None,
-) -> PreparedPolicy:
+def prepare_general_cover(inst: Instance, cover: PathCover | None = None) -> PreparedPolicy:
     """The general policy: one labeled width-1 run on each cover path's
     contraction, picked uniformly per trial."""
-    cover = min_path_cover(inst, cover_seed) if cover is None else cover
+    cover = min_path_cover(inst) if cover is None else cover
     contracted = tuple(build_contracted_instance(inst, cover, i) for i in range(cover.width))
     runs = tuple(_labeled_policy(ci.graph, ci.focal, Oracle(ci.graph)).runs[0] for ci in contracted)
     bound = 1 / (cover.width * (inst.max_labels_per_edge + 2))
@@ -914,15 +893,11 @@ class DisjointPlan:
 
 
 def build_disjoint_plan(
-    inst: Instance,
-    cover: PathCover | None = None,
-    *,
-    oracle: Oracle | None = None,
-    cover_seed: int | None = None,
+    inst: Instance, cover: PathCover | None = None, *, oracle: Oracle | None = None
 ) -> DisjointPlan:
     if inst.max_labels_per_edge > 0:
         raise PolicyError("disjoint-paths policy requires an unlabeled instance")
-    cover = min_path_cover(inst, cover_seed) if cover is None else cover
+    cover = min_path_cover(inst) if cover is None else cover
     oracle = Oracle(inst) if oracle is None else oracle
 
     internals = [order[1:-1] for order in cover.node_orders]
@@ -940,10 +915,7 @@ def build_disjoint_plan(
         # internal-free path must be strand 1
         j = trivial[0]
         idx = [j] + [i for i in range(cover.width) if i != j]
-        cover = PathCover(
-            tuple(cover.paths[i] for i in idx),
-            tuple(cover.node_orders[i] for i in idx),
-        )
+        cover = cover_from_paths(inst, [cover.paths[i] for i in idx])
         internals = [internals[i] for i in idx]
         seen = {v: i for i, nodes in enumerate(internals) for v in nodes}
 
@@ -1041,21 +1013,21 @@ def run_disjoint_paths_policy(
 # wrapper installed on one of those names (as in perfbench) applies.
 
 
-def _width1(inst: Instance, cover: PathCover | None, cover_seed: int | None) -> PreparedPolicy:
-    return _alpha_policy(inst, _covering_focal(inst, None, cover, cover_seed), Oracle(inst))
+def _width1(inst: Instance, cover: PathCover | None) -> PreparedPolicy:
+    return _alpha_policy(inst, _covering_focal(inst, None, cover), Oracle(inst))
 
 
-def _width1_labeled(inst: Instance, cover: PathCover | None, cover_seed: int | None) -> PreparedPolicy:
-    return _labeled_policy(inst, _covering_focal(inst, None, cover, cover_seed), Oracle(inst))
+def _width1_labeled(inst: Instance, cover: PathCover | None) -> PreparedPolicy:
+    return _labeled_policy(inst, _covering_focal(inst, None, cover), Oracle(inst))
 
 
-def _general(inst: Instance, cover: PathCover | None, cover_seed: int | None) -> PreparedPolicy:
-    return prepare_general_cover(inst, cover, cover_seed=cover_seed)
+def _general(inst: Instance, cover: PathCover | None) -> PreparedPolicy:
+    return prepare_general_cover(inst, cover)
 
 
-def _disjoint(inst: Instance, cover: PathCover | None, cover_seed: int | None) -> PreparedPolicy:
+def _disjoint(inst: Instance, cover: PathCover | None) -> PreparedPolicy:
     oracle = Oracle(inst)
-    plan = build_disjoint_plan(inst, cover, oracle=oracle, cover_seed=cover_seed)
+    plan = build_disjoint_plan(inst, cover, oracle=oracle)
     return _disjoint_policy(inst, plan, oracle)
 
 
@@ -1068,15 +1040,11 @@ _PREPARE = {
 POLICIES = tuple(_PREPARE)
 
 
-def prepare_policy(
-    inst: Instance,
-    policy: str,
-    cover: PathCover | None = None,
-    cover_seed: int | None = None,
-) -> PreparedPolicy:
+def prepare_policy(inst: Instance, policy: str, cover: PathCover | None = None) -> PreparedPolicy:
     """Prepare a named policy on `inst`.  `cover` fixes the cover paths;
-    by default a minimum cover is drawn with `cover_seed`."""
+    by default the policy runs on the unseeded minimum cover.  A seeded
+    one is `min_path_cover(inst, seed)`, passed as `cover`."""
     prepare = _PREPARE.get(policy)
     if prepare is None:
         raise ValueError(f"unknown policy {policy!r}; known: {', '.join(POLICIES)}")
-    return prepare(inst, cover, cover_seed)
+    return prepare(inst, cover)

@@ -1,7 +1,10 @@
 """Exact evaluation, Monte Carlo estimation, and competitive reports.
 
 Each entry point takes a policy name and prepares it with
-`policies.prepare_policy`; this module only evaluates and reports.
+`policies.prepare_policy`; this module only evaluates and reports.  A
+caller with its own cover prepares with `prepare_policy(inst, name,
+cover)` and reads `exact_value()` or passes the result as `prepared=`;
+`competitive_report` also takes `cover`.
 
 Monte Carlo runs are reproducible to the bit: trial j draws from
 random.Random seeded by derive_seed(master, "traj", j), so the same
@@ -24,16 +27,11 @@ from .policies import PreparedPolicy, prepare_policy
 from .util import derive_seed, stable_sum
 
 
-def exact_policy_value(
-    inst: Instance,
-    policy: str,
-    cover: PathCover | None = None,
-    cover_seed: int | None = None,
-) -> float:
+def exact_policy_value(inst: Instance, policy: str) -> float:
     """Exact expected value of a policy.  For the general policy this
     is the certified value: the mean of the k contracted runs, which
     ignores (nonnegative) connector pickups during replay."""
-    return prepare_policy(inst, policy, cover, cover_seed).exact_value()
+    return prepare_policy(inst, policy).exact_value()
 
 
 @dataclass(frozen=True)
@@ -56,8 +54,6 @@ def monte_carlo_estimate(
     policy: str,
     trials: int,
     seed: int,
-    cover: PathCover | None = None,
-    cover_seed: int | None = None,
     *,
     prepared: PreparedPolicy | None = None,
 ) -> PolicyRunReport:
@@ -70,7 +66,7 @@ def monte_carlo_estimate(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    prep = prepared if prepared is not None else prepare_policy(inst, policy, cover, cover_seed)
+    prep = prepared if prepared is not None else prepare_policy(inst, policy)
     walk = prep.sampler()
     certified = []
     realized = []
@@ -133,13 +129,12 @@ def competitive_report(
     trials: int | None = None,
     seed: int | None = None,
     cover: PathCover | None = None,
-    cover_seed: int | None = None,
     include_online: bool = False,
 ) -> CompetitiveReport:
     """Bundle E(ALG) against E(OPT), the policy's guarantee, and a
     pass/fail flag.  Exact mode checks e_alg >= bound * e_opt - 1e-9;
     MC mode grants the estimate four standard errors of slack."""
-    prep = prepare_policy(inst, policy, cover, cover_seed)
+    prep = prepare_policy(inst, policy, cover)
     e_opt = float(prep.oracle.expected_opt())
     run_report = None
     if mode == "exact":

@@ -7,6 +7,7 @@ import copy
 import io
 import json
 import os
+import random
 import tempfile
 
 import pytest
@@ -14,11 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathprophet.cli import main
+from pathprophet.cover import min_path_cover
 from pathprophet.instances import kplus1, paper_families, two_candidate, upper49
 from pathprophet.model import Instance, instance_to_dict, load_instance, save_instance
+from pathprophet.policies import prepare_policy
 from pathprophet.simulate import monte_carlo_estimate
+from pathprophet.util import derive_seed
 
-from conftest import many_binding_labels
+from conftest import dag_fuzz, many_binding_labels
 
 
 def write(tmp_path, inst, name="inst.json"):
@@ -431,15 +435,38 @@ def test_opt_mc_refuses_non_positive_trials(tmp_path, capsys, trials):
     assert err.splitlines() == ["error[args]: trials must be positive"]
 
 
-def test_gen_refuses_a_parameter_the_family_does_not_take(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["markets", "--n", "-1"], "family 'markets' does not take 'n'; it accepts: periods, dists"),
+        (["random", "--eps", "0.5"], "family 'random' does not take 'eps'; it accepts: seed, shape, nodes, outcomes, d"),
+        (["grid", "--seed", "3"], "family 'grid' does not take 'seed'; it accepts: k, eps"),
+        (["grid", "--nodes", "9"], "family 'grid' does not take 'nodes'; it accepts: k, eps"),
+    ],
+    ids=["markets-n", "random-eps", "grid-seed", "grid-nodes"],
+)
+def test_gen_refuses_a_parameter_the_family_does_not_take(tmp_path, capsys, argv, message):
     out_path = tmp_path / "x.json"
-    code, out, err = run(capsys, ["gen", "markets", "--n", "-1", "-o", str(out_path)])
+    code, out, err = run(capsys, ["gen", *argv, "-o", str(out_path)])
     assert code == 2
     assert out == ""
-    assert err.splitlines() == [
-        "error[args]: family 'markets' does not take 'n'; it accepts: periods, dists"
-    ]
+    assert err.splitlines() == [f"error[args]: {message}"]
     assert not out_path.exists()
+
+
+def test_cover_seed_picks_the_cover_that_simulate_and_trace_run_on(tmp_path, capsys):
+    path = write(tmp_path, dag_fuzz(7))
+    inst = load_instance(path)
+    prepared = prepare_policy(inst, "general", min_path_cover(inst, 4))
+    seeded = run_json(capsys, ["simulate", path, "--policy", "general", "--cover-seed", "4"])[1]
+    unseeded = run_json(capsys, ["simulate", path, "--policy", "general"])[1]
+    assert seeded["e_alg"] == prepared.exact_value() == 3.34375
+    assert seeded["params"]["cover"] == [list(p) for p in min_path_cover(inst, 4).paths]
+    assert unseeded["e_alg"] == 2.9548611111111107
+    code, obj, _ = run_json(capsys, ["trace", path, "--policy", "general", "--cover-seed", "4", "--seed", "1"])
+    assert code == 0
+    traj = prepared.sampler().run(random.Random(derive_seed(1, "traj", 0)))
+    assert (obj["edges"], obj["value"], obj["sub_index"]) == (list(traj.edges), traj.value, traj.sub_index)
 
 
 def json_locations(doc, prefix=()):

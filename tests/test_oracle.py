@@ -199,7 +199,7 @@ def test_statistics_equal_the_per_realization_loop(twin):
         inst = json_twin(inst) if twin else inst
         orc = Oracle(inst)
         for spec in specs_of(inst, orc):
-            restricted += spec.kind == "restricted"
+            restricted += spec.allowed is not None
             expected, x, paths, cond = annotation_reference(Oracle(inst), spec)
             assert orc.expected_opt(spec) == expected
             assert orc.edge_probabilities(spec) == x
