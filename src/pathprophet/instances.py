@@ -5,11 +5,22 @@ family, its parameters, and any closed-form quantities the family is
 known for (prophet value, online value, canonical covers).  Values are
 kept dyadic where a family allows it so that value ties stay exact in
 floating point.
+
+A family adds its edges in id order and builds a node's outcome rows in
+the same pass, from the ids it has just added, or by position where the
+ids follow a fixed stride (classic, kplus1, mchoice).  grid's sink edges
+come after the whole grid, so it fills each node's value map edge by
+edge and builds the rows at the end.  Independent draws at one node,
+such as a market's one- and two-period terms, are combined by
+`itertools.product`, first draw outermost, with masses multiplied left
+to right from the int 1.
 """
 
 from __future__ import annotations
 
 import inspect
+import itertools
+import math
 import random
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
@@ -78,20 +89,13 @@ def classic(n: int = 5, eps: float = 0.5, dists: Sequence[Dist] | None = None) -
         raise InvalidInstanceError(f"need {n} distributions, got {len(dists)}")
     nodes = [str(i) for i in range(1, n + 1)] + ["t"]
     edges = []
-    eid = {}
     for i in range(1, n):
-        eid[("back", i)] = len(edges)
-        edges.append((str(i), str(i + 1), ()))
-        eid[("by", i)] = len(edges)
-        edges.append((str(i), "t", ()))
-    eid[("back", n)] = len(edges)
+        edges += [(str(i), str(i + 1), ()), (str(i), "t", ())]  # ids 2i-2 (on), 2i-1 (bypass)
     edges.append((str(n), "t", ()))
-    outcomes: dict[str, list] = {}
-    for i in range(1, n):
-        outcomes[str(i)] = [
-            (p, {eid[("back", i)]: 0, eid[("by", i)]: v}) for p, v in dists[i - 1]
-        ]
-    outcomes[str(n)] = [(p, {eid[("back", n)]: v}) for p, v in dists[n - 1]]
+    outcomes = {
+        str(i): [(p, {2 * i - 2: 0, 2 * i - 1: v}) for p, v in dists[i - 1]] for i in range(1, n)
+    }
+    outcomes[str(n)] = [(p, {2 * n - 2: v}) for p, v in dists[n - 1]]
     return _finish(
         Instance.build(
             nodes,
@@ -112,9 +116,9 @@ def overtime(
     draw (term times rate); a zero-value skip edge always exists."""
     if horizon < 1:
         raise InvalidInstanceError("horizon must be at least 1")
-    terms = sorted(set(int(x) for x in terms))
-    if not terms or terms[0] < 1:
+    if not terms or any(type(x) is not int or x < 1 for x in terms):
         raise InvalidInstanceError("terms must be positive integers")
+    terms = sorted(set(terms))
     if dists is None:
         dists = [[(Fraction(1, 2), 0), (Fraction(1, 2), 1)]] * horizon
     if len(dists) != horizon:
@@ -125,22 +129,15 @@ def overtime(
         return "t" if step == horizon + 1 else str(step)
 
     edges = []
-    per_node: dict[int, list[tuple[int, int]]] = {}  # step -> [(edge id, term)]
+    outcomes = {}
     for i in range(1, horizon + 1):
-        lst = []
-        lst.append((len(edges), 0))  # skip
+        term_of = {len(edges): 0}  # edge id -> term; the skip edge earns 0 * rate
         edges.append((str(i), node_at(i + 1), ()))
         for ell in terms:
             if i + ell <= horizon + 1:
-                lst.append((len(edges), ell))
+                term_of[len(edges)] = ell
                 edges.append((str(i), node_at(i + ell), ()))
-        per_node[i] = lst
-    outcomes = {}
-    for i in range(1, horizon + 1):
-        rows = []
-        for p, v in dists[i - 1]:
-            rows.append((p, {e: ell * v for e, ell in per_node[i]}))
-        outcomes[str(i)] = rows
+        outcomes[str(i)] = [(p, {e: ell * v for e, ell in term_of.items()}) for p, v in dists[i - 1]]
     return _finish(
         Instance.build(
             nodes,
@@ -177,45 +174,27 @@ def markets(
         return "t" if i > periods else f"{row}{i}"
 
     edges: list[tuple[str, str, tuple]] = [("s", "u1", ()), ("s", "v1", ())]
-    groups: dict[str, list[tuple[tuple[int, ...], int]]] = {}  # node -> [(edge ids, term)]
+    outcomes = {"s": [(1, {0: 0, 1: 0})]}
     for i in range(1, periods + 1):
         for row, other in (("u", "v"), ("v", "u")):
             node = f"{row}{i}"
-            glist = []
-            for ell in (1, 2):
+            one, two = dists[i - 1]
+            groups, laws = [], []  # per term that fits: its edge ids, its value law
+            for ell, law in ((1, one), (2, two)):
                 if i + ell > periods + 1:
-                    continue  # term does not fit
+                    continue
                 stay, switch = tgt(row, i + ell), tgt(other, i + ell)
-                ids = [len(edges)]
+                groups.append([len(edges)])
                 edges.append((node, stay, ()))
                 if switch != stay:
-                    ids.append(len(edges))
+                    groups[-1].append(len(edges))
                     edges.append((node, switch, ()))
-                glist.append((tuple(ids), ell))
-            groups[node] = glist
-    outcomes = {}
-    for i in range(1, periods + 1):
-        one_dist, two_dist = dists[i - 1]
-        for row in ("u", "v"):
-            node = f"{row}{i}"
-            rows = []
-            per_term = {1: one_dist, 2: two_dist}
-
-            # independent draws for the one- and two-period terms
-            def expand(idx: int, acc_p, acc_vals):
-                if idx == len(groups[node]):
-                    rows.append((acc_p, dict(acc_vals)))
-                    return
-                ids, ell = groups[node][idx]
-                for p, v in per_term[ell]:
-                    vals = dict(acc_vals)
-                    for e in ids:
-                        vals[e] = v
-                    expand(idx + 1, acc_p * p, vals)
-
-            expand(0, 1, {})
-            outcomes[node] = rows
-    outcomes["s"] = [(1, {0: 0, 1: 0})]
+                laws.append(law)
+            # the terms draw independently; a term's edges share its draw
+            outcomes[node] = [
+                (math.prod(p for p, _ in draw), {e: v for ids, (_, v) in zip(groups, draw) for e in ids})
+                for draw in itertools.product(*laws)
+            ]
     return _finish(
         Instance.build(
             nodes,
@@ -278,82 +257,37 @@ def grid(k: int = 3, eps: float = 0.01) -> Instance:
     """
     if k < 3:
         raise InvalidInstanceError("grid needs k >= 3")
-    if not 0 < eps <= 1:
-        raise InvalidInstanceError(f"eps must lie in (0, 1], got {eps!r}")
+    _check_eps(eps)
+    rows = _hit_or_zero(eps, 1 / eps)
     nodes = [f"v{r}_{c}" for r in range(k) for c in range(k)] + ["t"]
-    edges = []
-    eid: dict[tuple[str, int, int], int] = {}
+    edges: list[tuple[str, str, tuple]] = []
+    sure: dict[str, dict[int, int]] = {}  # node -> {out-edge id: value unless a jackpot hits}
+
+    def add(src: str, dst: str, value: int = 0) -> int:
+        sure.setdefault(src, {})[len(edges)] = value
+        edges.append((src, dst, ()))
+        return len(edges) - 1
+
+    across: list[list[int]] = [[] for _ in range(k)]  # row r's rightward edges
+    down: list[list[int]] = [[] for _ in range(k)]  # column c's downward edges
     for r in range(k):
         for c in range(k):
             if c + 1 < k:
-                eid[("h", r, c)] = len(edges)
-                edges.append((f"v{r}_{c}", f"v{r}_{c + 1}", ()))
+                across[r].append(add(f"v{r}_{c}", f"v{r}_{c + 1}"))
             if r + 1 < k:
-                eid[("v", r, c)] = len(edges)
-                edges.append((f"v{r}_{c}", f"v{r + 1}_{c}", ()))
-    eid[("bridge", 0, 0)] = len(edges)
-    edges.append((f"v{k - 1}_{k - 1}", "t", ()))
-    eid[("exit1", 0, 0)] = len(edges)
-    edges.append((f"v{k - 1}_1", "t", ()))
-    eid[("exit2", 0, 0)] = len(edges)
-    edges.append((f"v{k - 1}_2", "t", ()))
-    for r in range(k - 1):
-        eid[("rowend", r, 0)] = len(edges)
-        edges.append((f"v{r}_{k - 1}", "t", ()))
-
-    jackpot = 1 / eps
-
-    def value_of(key: tuple[str, int, int]) -> tuple[float, bool]:
-        """(deterministic value, is it a jackpot draw)"""
-        kind, r, c = key
-        if kind == "v" and c == 1:
-            return 1, False
-        if kind == "v" and c == 2:
-            return 0, True
-        if kind == "exit1":
-            return 1, False
-        if kind == "exit2":
-            return 0, True
-        return 0, False
-
-    by_node: dict[str, list[tuple[int, tuple[str, int, int]]]] = {}
-    for key, e in eid.items():
-        src = edges[e][0]
-        by_node.setdefault(src, []).append((e, key))
-    outcomes = {}
-    for node, lst in by_node.items():
-        jackpots = [e for e, key in lst if value_of(key)[1]]
-        base = {e: value_of(key)[0] for e, key in lst}
-        if not jackpots:
-            outcomes[node] = [(1, base)]
-        else:
-            # at most one jackpot edge leaves any node in this family
-            assert len(jackpots) == 1
-            hit = dict(base)
-            hit[jackpots[0]] = jackpot
-            if eps == 1:
-                outcomes[node] = [(1, hit)]
-            else:
-                outcomes[node] = [(eps, hit), (1 - eps, base)]
-
-    def h_path(r: int) -> list[int]:
-        p = [eid[("v", rr, 0)] for rr in range(r)]
-        p += [eid[("h", r, c)] for c in range(k - 1)]
-        p.append(eid[("rowend", r, 0)] if r < k - 1 else eid[("bridge", 0, 0)])
-        return p
-
-    def v_path(c: int) -> list[int]:
-        p = [eid[("h", 0, cc)] for cc in range(c)]
-        p += [eid[("v", r, c)] for r in range(k - 1)]
-        if c == 1:
-            p.append(eid[("exit1", 0, 0)])
-        elif c == 2:
-            p.append(eid[("exit2", 0, 0)])
-        else:
-            p += [eid[("h", k - 1, cc)] for cc in range(c, k - 1)]
-            p.append(eid[("bridge", 0, 0)])
-        return p
-
+                down[c].append(add(f"v{r}_{c}", f"v{r + 1}_{c}", 1 if c == 1 else 0))
+    bridge = add(f"v{k - 1}_{k - 1}", "t")
+    exit1 = add(f"v{k - 1}_1", "t", 1)
+    exit2 = add(f"v{k - 1}_2", "t")
+    ends = [add(f"v{r}_{k - 1}", "t") for r in range(k - 1)] + [bridge]
+    # column 2's downward edges and its exit draw the jackpot, one per node
+    jackpot = {f"v{r}_2": e for r, e in enumerate(down[2] + [exit2])}
+    outcomes = {
+        node: [(p, vals | {jackpot[node]: v}) for p, v in rows] if node in jackpot else [(1, vals)]
+        for node, vals in sure.items()
+    }
+    exits = {1: [exit1], 2: [exit2]}  # other columns run along the bottom row to the bridge
+    vertical = [across[0][:c] + down[c] + exits.get(c, across[k - 1][c:] + [bridge]) for c in range(k)]
     return _finish(
         Instance.build(
             nodes,
@@ -365,8 +299,8 @@ def grid(k: int = 3, eps: float = 0.01) -> Instance:
                 "eps": eps,
                 "width": k,
                 "opt_lower_bound": 2 * k - k * k * eps,
-                "horizontal_cover": [h_path(r) for r in range(k)],
-                "vertical_cover": [v_path(c) for c in range(k)],
+                "horizontal_cover": [down[0][:r] + across[r] + [ends[r]] for r in range(k)],
+                "vertical_cover": vertical,
             },
         )
     )
@@ -445,27 +379,17 @@ def vertex_matching(bidders: int = 3, items: int = 2, seed: int = 0) -> Instance
     nodes = [f"b{i}" for i in range(1, bidders + 1)] + ["t"]
     labels = {f"item{j}": 1 for j in range(1, items + 1)}
     edges = []
-    per_bidder: dict[int, list[int]] = {}
-    for i in range(1, bidders + 1):
-        dst = f"b{i + 1}" if i < bidders else "t"
-        ids = [len(edges)]
-        edges.append((f"b{i}", dst, ()))
-        for j in range(1, items + 1):
-            ids.append(len(edges))
-            edges.append((f"b{i}", dst, (f"item{j}",)))
-        per_bidder[i] = ids
     outcomes = {}
     for i in range(1, bidders + 1):
+        node, dst = f"b{i}", f"b{i + 1}" if i < bidders else "t"
+        skip = len(edges)  # item j's edge is skip + j
+        edges += [(node, dst, ())] + [(node, dst, (f"item{j}",)) for j in range(1, items + 1)]
         rng = random.Random(derive_seed(seed, "bidder", i))
         cut = rng.randrange(1, 8)
-        masses = [Fraction(cut, 8), Fraction(8 - cut, 8)]
-        rows = []
-        for p in masses:
-            vals: dict[int, Fraction | int] = {per_bidder[i][0]: 0}
-            for j in range(1, items + 1):
-                vals[per_bidder[i][j]] = Fraction(rng.randrange(5), 4)
-            rows.append((p, vals))
-        outcomes[f"b{i}"] = rows
+        outcomes[node] = [
+            (p, {skip: 0} | {skip + j: Fraction(rng.randrange(5), 4) for j in range(1, items + 1)})
+            for p in (Fraction(cut, 8), Fraction(8 - cut, 8))
+        ]
     return _finish(
         Instance.build(
             nodes,

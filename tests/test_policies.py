@@ -389,6 +389,29 @@ def test_disjoint_rejects_labeled_and_overlapping_covers():
         build_disjoint_plan(inst, overlapping)
 
 
+def direct_edges_instance():
+    """s -> a -> t (edges 0, 1) beside two direct s -> t edges (2, 3)."""
+    return Instance.build(
+        ["s", "a", "t"],
+        [("s", "a", ()), ("a", "t", ()), ("s", "t", ()), ("s", "t", ())],
+        outcomes={
+            "s": [(0.5, {0: 0.0, 2: 1.0, 3: 0.0}), (0.5, {0: 0.0, 2: 0.0, 3: 2.0})],
+            "a": [(0.5, {1: 3.0}), (0.5, {1: 0.0})],
+        },
+    )
+
+
+def test_disjoint_plan_moves_the_internal_free_path_to_strand_0():
+    inst = direct_edges_instance()
+    cover = cover_from_paths(inst, [(0, 1), (2,)])
+    plan = build_disjoint_plan(inst, cover)
+    assert plan.cover.paths == ((2,), (0, 1))
+    assert plan.edge_sets[0] == {2, 3}  # every direct edge pools with the internal-free strand
+    assert prepare_policy(inst, "disjoint", cover).params["cover"] == [[2], [0, 1]]
+    with pytest.raises(CoverError, match="more than one cover path has no internal nodes"):
+        build_disjoint_plan(inst, cover_from_paths(inst, [(0, 1), (2,), (3,)]))
+
+
 # -- one rule for the engine and the walker ----------------------------------
 
 

@@ -40,3 +40,13 @@ def test_library_example_prints_its_commented_values():
     with contextlib.redirect_stdout(out):
         exec(fenced_block("Library", "python"), {})
     assert out.getvalue().splitlines()[:3] == ["4.25", "2.0", "1"]
+
+
+def test_instance_file_example_validates(tmp_path):
+    path = tmp_path / "hand-rolled.json"
+    path.write_text(fenced_block("Instance files", "json"), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["validate", str(path)]) == 0
+        assert main(["opt", str(path)]) == 0
+    assert out.getvalue().splitlines()[-1] == "expected offline value: 1.5"
