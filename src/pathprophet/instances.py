@@ -163,8 +163,8 @@ def markets(
         one = [(Fraction(1, 2), 0), (Fraction(1, 2), 1)]
         two = [(Fraction(1, 2), 0), (Fraction(1, 2), 2)]
         dists = [(one, two)] * periods
-    if len(dists) != periods:
-        raise InvalidInstanceError(f"need {periods} distribution pairs, got {len(dists)}")
+    if len(dists) != periods or any(len(pair) != 2 for pair in dists):
+        raise InvalidInstanceError(f"need {periods} distribution pairs (one-period law, two-period law)")
     nodes = ["s"]
     for i in range(1, periods + 1):
         nodes += [f"u{i}", f"v{i}"]

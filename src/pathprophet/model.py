@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import EnumerationCapError, InvalidInstanceError
 from .util import TOL, cumulative, default_enum_cap, pick
@@ -47,6 +47,16 @@ class Outcome:
 OutcomeTable = tuple[Outcome, ...]
 
 
+class Scale(NamedTuple):
+    """Integer numerators: edge values over `den` (`nums`: per edge and
+    outcome of its source), node i's masses over the lcm `mass_den[i]`."""
+
+    den: int
+    nums: list[tuple[int, ...]]
+    mass_den: list[int]
+    masses: list[tuple[int, ...]]
+
+
 @dataclass(frozen=True)
 class Instance:
     nodes: tuple[str, ...]
@@ -70,6 +80,26 @@ class Instance:
     def draw_tables(self) -> tuple[tuple[list[float], int] | None, ...]:
         """Per node the `util.cumulative` table `sample_realization` draws from (None without one)."""
         return tuple(cumulative([o.p for o in t]) if t else None for t in self.tables)
+
+    @cached_property
+    def scale(self) -> Scale:
+        ratios = [
+            [o.values.get(e.id, 0).as_integer_ratio() for o in self.tables[self.node_index[e.src]]] or [(0, 1)]
+            for e in self.edges
+        ]
+        den = math.lcm(*(d for row in ratios for _, d in row))
+        nums = [tuple(n * (den // d) for n, d in row) for row in ratios]
+        ratios = [[o.p.as_integer_ratio() for o in table] for table in self.tables]
+        mass_den = [math.lcm(*(d for _, d in row)) for row in ratios]
+        masses = [tuple(n * (m // d) for n, d in row) for row, m in zip(ratios, mass_den)]
+        return Scale(den, nums, mass_den, masses)
+
+    @cached_property
+    def exact(self) -> bool:
+        """Every mass and value an int or a Fraction, every mass positive, some node's masses all Fractions."""
+        ok = all(type(x) in (int, Fraction) for t in self.tables for o in t for x in (o.p, *o.values.values()))
+        return ok and all(o.p > 0 for t in self.tables for o in t) and any(
+            t and all(type(o.p) is Fraction for o in t) for t in self.tables)
 
     @property
     def source(self) -> str:

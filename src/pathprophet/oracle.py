@@ -29,6 +29,11 @@ per offline spec; no list of realizations is ever built.
   value, `x`, path law, conditional laws) with the same operations in
   the same order as a per-realization loop, so float statistics are
   bit-identical to that loop and `Fraction` statistics stay exact.
+* Exact tables (`Instance.exact`) run both passes on the integer
+  numerators of `Instance.scale`, which compare and tie as the values
+  do, and each statistic becomes one canonical `Fraction` at the end,
+  the one `Fraction` arithmetic gives.  Float and mixed tables run on
+  their own numbers.
 
 `opt_path` scores one given realization with the same DP rows.  The
 policies read the oracle's own tables: the DP's label transitions and
@@ -41,6 +46,7 @@ import math
 import random
 from array import array
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -105,8 +111,9 @@ class _BestPathDP:
     per edge id the child state per state, or None for an edge that uses
     no binding label) and every node's edge values per outcome (`values`)
     are built once.  The online DP reads both, `opt_path` reads `values`,
-    and the policies' exact engine and walker read `trans`.  Callers
-    check the state count first.
+    and the policies' exact engine and walker read `trans`.  The shared
+    pass and the annotation add `sums`: `values`, or for exact tables
+    their integer numerators.  Callers check the state count first.
     """
 
     def __init__(self, inst: Instance, active_labels: tuple[tuple[str, int], ...]):
@@ -139,6 +146,10 @@ class _BestPathDP:
             self.values.append(
                 [tuple(o.values.get(eid, 0.0) for eid, _, _ in row) for o in inst.tables[i]] or [(0.0,) * len(row)]
             )
+        nums = inst.scale.nums if inst.exact else None
+        self.sums = self.values if nums is None else [
+            [tuple(nums[e][o] for e, _, _ in out) for o in range(len(v))] for out, v in zip(self.out, self.values)
+        ]
         # path id -> (first edge id, id of the rest); id 0 is the empty path
         self.links: list[tuple[int, int] | None] = [None]
         self._ids: dict[tuple[int, int], int] = {}
@@ -240,7 +251,7 @@ class Oracle:
                 stride *= len(tables[i])
         digits.reverse()
         ids = array("q", [0]) * count
-        vals = [v[0] for v in dp.values]
+        vals = [v[0] for v in dp.sums]
         vrows, prows = dp.fresh_rows()
         for i in range(n - 2, -1, -1):
             dp.row(i, vals[i], vrows, prows)
@@ -256,12 +267,12 @@ class Oracle:
                     break
                 pos -= at[k] * stride
                 at[k] = 0
-                vals[i] = dp.values[i][0]
+                vals[i] = dp.sums[i][0]
             else:
                 return ids
             at[k] += 1
             pos += stride
-            vals[i] = dp.values[i][at[k]]
+            vals[i] = dp.sums[i][at[k]]
             for h in range(min(i, n - 2), -1, -1):
                 dp.row(h, vals[h], vrows, prows)
 
@@ -274,6 +285,7 @@ class Oracle:
         best = self._best_ids
         dp = self._dp
         inst = self.inst
+        masses, add = (inst.scale.masses, sum) if inst.exact else ([[o.p for o in t] for t in inst.tables], stable_sum)
         tabled = [i for i, table in enumerate(inst.tables) if table]
         # conditional-law buckets: per node with a table a block of rows,
         # one per outcome, with a column per out-edge in order and one
@@ -296,14 +308,14 @@ class Oracle:
         at = [0] * len(tabled)
         prefix = [1] * (len(tabled) + 1)  # prefix[k + 1] = 1 * p_0 * ... * p_k; int keeps Fraction exact
         rows = [0] * len(tabled)  # bucket offset of each tabled node's current outcome
-        cur = [0.0] * len(inst.edges)  # the current realization's edge values
+        cur = [0] * len(inst.edges)  # the current realization's edge values
 
         def settle(first: int) -> None:
             for k in range(first, len(tabled)):
                 i, o = tabled[k], at[k]
-                prefix[k + 1] = prefix[k] * inst.tables[i][o].p
+                prefix[k + 1] = prefix[k] * masses[i][o]
                 rows[k] = base[k] + o * width[k]
-                for (eid, _, _), v in zip(dp.out[i], dp.values[i][o]):
+                for (eid, _, _), v in zip(dp.out[i], dp.sums[i][o]):
                     cur[eid] = v
 
         settle(0)
@@ -313,7 +325,7 @@ class Oracle:
         for pid in best:
             path, cols = chosen[pid]
             m = prefix[-1]
-            value_terms.append(m * stable_sum([cur[eid] for eid in path]))
+            value_terms.append(m * add([cur[eid] for eid in path]))
             for eid in path:
                 xs[eid] += m
             paths[path] = paths.get(path, 0) + m
@@ -328,6 +340,11 @@ class Oracle:
                 at[k] += 1
                 settle(k)
 
+        if inst.exact:  # masses over d = prod(mass_den); an untouched bucket stays the int 0 sums start from
+            d = math.prod(inst.scale.mass_den)
+            xs, acc = ([Fraction(a, d) if a else 0 for a in buckets] for buckets in (xs, acc))
+            paths = {path: Fraction(m, d) for path, m in paths.items()}
+            value_terms = [Fraction(sum(value_terms), d * inst.scale.den)]
         laws: dict[int, tuple[tuple[float, ...], ...]] = {}
         for k, i in enumerate(tabled):
             w = width[k]

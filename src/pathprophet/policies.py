@@ -57,7 +57,6 @@ as the exact (possibly `Fraction`) probability would.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field, replace
 from functools import cache
@@ -541,12 +540,12 @@ class FocalWalker:
 
 
 class PolicyWalk:
-    """A policy's trajectory sampler, compiled by one sampler call:
-    every edge value of `inst` as an integer numerator over one common
-    denominator (a walk's value is the float of its exact sum), and one
+    """A policy's trajectory sampler, compiled by one sampler call: one
     walker per cover path.  With several, one is picked uniformly and
     its contracted walk replayed on `inst` through `contracted`.  A
-    trial's realization is `sample_realization` on the trial's stream."""
+    walk's value is the float of its exact sum over the value numerators
+    of `inst.scale`, and a trial's realization is `sample_realization`
+    on the trial's stream."""
 
     def __init__(
         self,
@@ -561,16 +560,10 @@ class PolicyWalk:
         # per cover path and contracted edge: the real edges it replays as
         self.replay = contracted and [ci.edges for ci in contracted]
         self.src = [inst.node_index[e.src] for e in inst.edges]
-        ratios = [
-            [o.values.get(e.id, 0).as_integer_ratio() for o in inst.tables[s]] or [(0, 1)]
-            for e, s in zip(inst.edges, self.src)
-        ]
-        self.den = math.lcm(*(d for row in ratios for _, d in row))
-        self.nums = [tuple(n * (self.den // d) for n, d in row) for row in ratios]
 
     def value(self, choices: Sequence[int], edges: Sequence[int]) -> float:
-        nums, src = self.nums, self.src
-        return sum(nums[e][choices[src[e]]] for e in edges) / self.den
+        scale, src = self.inst.scale, self.src
+        return sum(scale.nums[e][choices[src[e]]] for e in edges) / scale.den
 
     def run(
         self, rng: random.Random | None, choices: Sequence[int] | None = None, record: bool = True

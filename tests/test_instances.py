@@ -200,6 +200,12 @@ def test_markets_width_two():
     assert inst.meta["width"] == 2
 
 
+@pytest.mark.parametrize("entry", [([(1, 1)],), ([(1, 1)], [(1, 2)], [(1, 3)])], ids=["one-law", "three-laws"])
+def test_markets_refuses_a_distribution_entry_that_is_not_a_pair(entry):
+    with pytest.raises(InvalidInstanceError, match="distribution pair"):
+        markets(3, [entry] * 3)
+
+
 def test_mchoice_slot_cap_and_skips():
     inst = mchoice(n=4, m=2)
     assert dict(inst.labels) == {"slot": 2}

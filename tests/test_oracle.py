@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +16,8 @@ from pathprophet import (
     EnumerationCapError,
     Instance,
     Oracle,
+    POLICIES,
+    PathProphetError,
     PolicyError,
     StateCapError,
     build_disjoint_plan,
@@ -243,3 +247,91 @@ def test_enumeration_cap_is_checked_before_the_shared_pass(monkeypatch):
     monkeypatch.setenv("PATHPROPHET_ENUM_CAP", "1")
     with pytest.raises(EnumerationCapError, match="enumeration too large, use Monte Carlo"):
         Oracle(inst).expected_opt()
+
+
+GOLDEN_CORPUS = [(f"fuzz{k}", inst) for k, inst in enumerate(FUZZ)] + [
+    (f"{family}{params}", generate_paper_instance(family, **params))
+    for family, params in (
+        ("markets", {}),
+        ("markets", {"periods": 3}),
+        ("grid", {"eps": Fraction(1, 64)}),
+        ("grid", {"k": 4, "eps": Fraction(3, 8)}),
+        ("upper49", {"eps": Fraction(1, 10)}),
+        ("mchoice", {}),
+        ("mchoice", {"n": 6, "m": 3, "dist": [(Fraction(3, 8), Fraction(1, 4)), (Fraction(5, 8), Fraction(2))]}),
+    )
+]
+
+
+def _repr_or_refusal(compute) -> str:
+    try:
+        return repr(compute())
+    except PathProphetError as exc:
+        return type(exc).__name__
+
+
+def oracle_statistics(inst):
+    """(name, repr) of every statistic the oracle reports on `inst`, per
+    spec, and of every policy's exact value (or the error refusing it)."""
+    orc = Oracle(inst)
+    out = []
+    for k, spec in enumerate(specs_of(inst, orc)):
+        out += [
+            (f"expected_opt/{k}", repr(orc.expected_opt(spec))),
+            (f"edge_probabilities/{k}", repr(orc.edge_probabilities(spec))),
+            (f"path_distribution/{k}", repr(orc.path_distribution(spec))),
+        ]
+        out += [
+            (f"choice_laws/{k}/{name}", repr(orc.choice_laws(name, spec)))
+            for name, table in zip(inst.nodes, inst.tables)
+            if table
+        ]
+    out.append(("optimal_online_value", _repr_or_refusal(orc.optimal_online_value)))
+    for policy in POLICIES:
+        out.append((f"exact_policy_value/{policy}", _repr_or_refusal(lambda: exact_policy_value(inst, policy))))
+    return out
+
+
+def golden_lines():
+    for key, inst in GOLDEN_CORPUS:
+        for twin in ("fraction", "float"):
+            for name, text in oracle_statistics(json_twin(inst) if twin == "float" else inst):
+                yield f"{key}#{twin}", name, text
+
+
+# SHA-256 of the `golden_lines` records, one "key name repr" line each,
+# taken at commit 1b64782 (before exact tables were annotated on integer
+# numerators), leaving out the records in GOLDEN_MOVED
+GOLDEN_DIGEST = "814028d09ee981fa736bb6b981a65d639a9a325e48df7487413d2dc9b1091c95"
+# exact statistics that moved: each of these instances has a realization
+# whose best path carries only int values, a path value that used to be
+# summed as floats (a float, or a float-rounded Fraction, at 1b64782)
+GOLDEN_MOVED = {
+    ("markets{}#fraction", "expected_opt/0"): "Fraction(1959, 512)",
+    ("markets{'periods': 3}#fraction", "expected_opt/0"): "Fraction(723, 256)",
+    ("upper49{'eps': Fraction(1, 10)}#fraction", "expected_opt/0"): "Fraction(17, 4)",
+    ("mchoice{}#fraction", "expected_opt/0"): "Fraction(13, 8)",
+}
+
+
+def test_oracle_statistics_match_the_golden_digest():
+    digest = hashlib.sha256()
+    moved = {}
+    for key, name, text in golden_lines():
+        if (key, name) in GOLDEN_MOVED:
+            moved[key, name] = text
+        else:
+            digest.update(f"{key} {name} {text}\n".encode())
+    assert moved == GOLDEN_MOVED
+    assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+def test_expected_opt_stays_exact_on_int_valued_paths():
+    assert repr(Oracle(generate_paper_instance("mchoice", n=14, m=4)).expected_opt()) == "Fraction(4059, 1024)"
+    inst = Instance.build(
+        ["s", "a", "t"],
+        [("s", "a", ()), ("a", "t", ())],
+        outcomes={"s": [(Fraction(1, 3), {0: 1}), (Fraction(2, 3), {0: 2})], "a": [(1, {1: 0})]},
+    )
+    got = Oracle(inst).expected_opt()
+    assert type(got) is Fraction and got == Fraction(5, 3)
