@@ -6,11 +6,16 @@ Randomized subcommands take --seed; when omitted a seed is generated
 and echoed so any run can be reproduced.  Exit codes: 0 ok, 2 bad
 arguments, 3 validation failure (or a value that overflows the float
 range), 4 size cap exceeded, 5 policy/cover errors.
+
+`main(argv)` may be called any number of times in one process: it
+builds its parser once, on first use, and each call parses into a
+fresh namespace.  `build_parser()` returns a new parser on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -391,8 +396,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InvalidInstanceError as exc:

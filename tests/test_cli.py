@@ -4,16 +4,20 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
 import random
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pathprophet
 from pathprophet.cli import main
 from pathprophet.cover import min_path_cover
 from pathprophet.instances import kplus1, paper_families, two_candidate, upper49
@@ -469,6 +473,63 @@ def test_cover_seed_picks_the_cover_that_simulate_and_trace_run_on(tmp_path, cap
     assert (obj["edges"], obj["value"], obj["sub_index"]) == (list(traj.edges), traj.value, traj.sub_index)
 
 
+def fresh_process_run(argv):
+    """Exit code and stdout of `argv` run by the real entry point in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pathprophet.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "pathprophet.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    return done.returncode, done.stdout
+
+
+def test_repeated_calls_carry_nothing_from_one_call_to_the_next(tmp_path, capsys):
+    path = write(tmp_path, dag_fuzz(7))
+    broken = write(tmp_path, broken_instance(), "broken.json")
+    simulate = ["simulate", path, "--policy", "general", "--json"]
+    trace = ["trace", path, "--policy", "general", "--seed", "5"]
+    fresh = {tuple(argv): fresh_process_run(argv) for argv in (simulate, trace)}
+
+    def matches_a_fresh_process(argv):
+        code, out, _ = run(capsys, argv)
+        return (code, out) == fresh[tuple(argv)]
+
+    assert "online_opt" in run_json(capsys, simulate[:-1] + ["--online"])[1]
+    assert matches_a_fresh_process(simulate)
+    assert "online_opt" not in json.loads(fresh[tuple(simulate)][1])
+
+    mc = simulate + ["--mc", "--trials", "50"]
+    seeded = json.loads(run(capsys, mc + ["--seed", "5"])[1])
+    assert seeded["seed"] == 5 and "seed_generated" not in seeded
+    assert json.loads(run(capsys, mc)[1])["seed_generated"] is True
+
+    assert run(capsys, ["gen", "two-candidate", "--eps", "0.25", "-o", str(tmp_path / "a.json")])[0] == 0
+    assert run(capsys, ["gen", "random", "--seed", "1", "-o", str(tmp_path / "b.json")])[0] == 0
+
+    inst = load_instance(path)
+    assert min_path_cover(inst, 3).paths != min_path_cover(inst).paths
+    seeded = json.loads(run(capsys, simulate + ["--cover-seed", "3"])[1])
+    assert seeded["params"]["cover"] == [list(p) for p in min_path_cover(inst, 3).paths]
+    assert matches_a_fresh_process(simulate)
+    assert json.loads(fresh[tuple(simulate)][1])["params"]["cover"] == [list(p) for p in min_path_cover(inst).paths]
+
+    failures = [
+        (["simulate", path, "--policy", "bogus"], SystemExit),
+        (["simulate", path, "--policy", "general", "--exact", "--mc"], SystemExit),
+        (["gen", "two-candidate", "--eps", "0.5"], SystemExit),
+        (["simulate", path, "--policy", "general", "--mc", "--trials", "0"], 2),
+        (["simulate", broken, "--policy", "general"], 3),
+    ]
+    for i, (argv, want) in enumerate(failures):
+        if want is SystemExit:
+            with pytest.raises(SystemExit) as ei:
+                main(argv)
+            assert ei.value.code == 2, argv
+        else:
+            assert main(argv) == want, argv
+        capsys.readouterr()
+        assert matches_a_fresh_process([simulate, trace][i % 2]), argv
+
+
 def json_locations(doc, prefix=()):
     """(location, is an object field) of every value inside a JSON document."""
     items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
@@ -521,3 +582,81 @@ def test_mutated_documents_exit_0_or_3_with_one_line(mutation):
             if code == 3 and not (command[0] == "validate" and out.getvalue().startswith("invalid:")):
                 # `validate` lists the violations of a parsed document on stdout
                 assert len(err.getvalue().splitlines()) == 1, (command, err.getvalue())
+
+
+GOLDEN_INSTANCES = {"two_candidate()": (two_candidate, "width1"), "dag_fuzz(7)": (lambda: dag_fuzz(7), "general")}
+GOLDEN_COMMANDS = [
+    ["validate"],
+    ["width"],
+    ["cover"],
+    ["opt"],
+    ["xprobs"],
+    ["online-opt"],
+    ["simulate", "--policy", "{policy}"],
+    ["simulate", "--policy", "{policy}", "--mc", "--seed", "7"],
+    ["trace", "--policy", "{policy}", "--seed", "5"],
+]
+
+
+def golden_outputs(directory):
+    """(exit code, SHA-256 of stdout) of every golden command, human-readable
+    and --json, keyed by instance and command line without the file path."""
+    got = {}
+    for name, (make, policy) in GOLDEN_INSTANCES.items():
+        path = write(directory, make(), "golden.json")
+        for command in GOLDEN_COMMANDS:
+            for extra in ([], ["--json"]):
+                args = [a.format(policy=policy) for a in command[1:]] + extra
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = main([command[0], path] + args)
+                got[" ".join([name, command[0]] + args)] = (code, hashlib.sha256(out.getvalue().encode()).hexdigest())
+    return got
+
+
+# computed at commit 75f37b5, where `main` built a new parser on every call
+GOLDEN_CLI_OUTPUTS = {
+    'two_candidate() validate': (0, '7836c6e6e011c908d6d45c81c741a3c9a19d2de493a9a127172227203154cf7e'),
+    'two_candidate() validate --json': (0, '2b549777a274a16dbbce6a798e4cc9dc21e15db870c6fd9a8f03e5cc6c42f154'),
+    'two_candidate() width': (0, 'cfb7b341593ee16fa35ace46e2950530466575e0d61c7fcaaf82cb31d87bf0b4'),
+    'two_candidate() width --json': (0, '33e0d35fa01ceaa2d69b78c2259de3032e0a17765e05baed2af93dbea7f7ff16'),
+    'two_candidate() cover': (0, 'ca5fca04e01c79b990f647eed6a4b30fa59c0874a4fd8aa6012aeff1c63fae01'),
+    'two_candidate() cover --json': (0, '3e80a73740a84eb17f75782dca476b6749ecd385e413c52b7ada93b82cf4f3d9'),
+    'two_candidate() opt': (0, 'e93bd65ed88e37872e3e3199742d6ab6c2b823e4a7e4af836e6e9ef9bbbfcd5e'),
+    'two_candidate() opt --json': (0, '37ca55fdf3dcbe33716a9a728b0ea6603a0682c8ee995a41f362f952685a11b8'),
+    'two_candidate() xprobs': (0, '95ccd9af22df2067601e6d31df4f8484eb0e9dbe7fde90346db7bf796d073412'),
+    'two_candidate() xprobs --json': (0, 'd4d6f407623e296f6f681e6387ea53c27cef5fb41c38d7b226f7a7cd134dba15'),
+    'two_candidate() online-opt': (0, '3350f1982fce0b6fe398b023e32cdd2f6a8c6f41d461ff047433449ab8241dba'),
+    'two_candidate() online-opt --json': (0, '8d2dfd503416a288e432b7cc0e05990d5b9b038539cbc99e87f9e34ebce19d2a'),
+    'two_candidate() simulate --policy width1': (0, '2b344d0fe8308474ac267f61bdf8a0b03dea5cb3b258fd664ba468f2feda1d53'),
+    'two_candidate() simulate --policy width1 --json': (0, '11f7bf95f61e1d3326bbe89b8cea73e2986778e5e8780cc5819b4890f7dbe519'),
+    'two_candidate() simulate --policy width1 --mc --seed 7': (0, '3dc9ecea16d51c4be6153946c9883588eb3650346830a6319be4b2f5ce1c1a4b'),
+    'two_candidate() simulate --policy width1 --mc --seed 7 --json': (0, 'aec9773b63242809b149dff8538b7e2ad72b7a43369feb5f2700c723fb8248e2'),
+    'two_candidate() trace --policy width1 --seed 5': (0, '57f9f632627575e776a65c21392216b13c0e5f39fe6779fcdbfff97279ca6cde'),
+    'two_candidate() trace --policy width1 --seed 5 --json': (0, 'de8c7bed4f7276b6d11288059fcfd56a9063f46cc1db34c30ab699e7b15f6562'),
+    'dag_fuzz(7) validate': (0, '2b671bbee5f96400a94b720c88821f172837a8bcdebf9c3874429cf86fffbbb9'),
+    'dag_fuzz(7) validate --json': (0, '2b8dd332fc6484f4983831efffc8370f11052acb6e6b22d06ef8b761b7e04fd3'),
+    'dag_fuzz(7) width': (0, 'af47e6e733d1664f2bba51d74220cb350e02703f584a9b8784666853aa6a84ec'),
+    'dag_fuzz(7) width --json': (0, '6176c9fa5b6045909cd2b76e7c6bc2671d161d32f484b8b4a78a5380cd847c82'),
+    'dag_fuzz(7) cover': (0, '8e7f16ce9a4ec416fd9ee8c0d95724de70c6db988fc2c3aec01e356938e0ffa8'),
+    'dag_fuzz(7) cover --json': (0, 'fe68d976797983f7879deaa81902d04c6456c7d54ac1b22b08e56400022522df'),
+    'dag_fuzz(7) opt': (0, 'b488bf8e3d6af8838860972e03a89b8d2624e1bb2ea80b00f4d86e9712977c04'),
+    'dag_fuzz(7) opt --json': (0, '685e38bb70d6f2810119660b12043d078b1e09643186b3bf5efb67f52d8a8e7a'),
+    'dag_fuzz(7) xprobs': (0, '270f35776706f061b5cf70892747c696e0a2f3b8d01d0cdf26721c9049b99277'),
+    'dag_fuzz(7) xprobs --json': (0, 'b4d2ad4498eaeeefe50578826569df559fb88a6439dac862b7863f0a32c769c8'),
+    'dag_fuzz(7) online-opt': (0, 'd844d00c2c974047343f47ebf1a6e400a0a8b32f58dbe4debc2af06b61747671'),
+    'dag_fuzz(7) online-opt --json': (0, '678ad126f24814fa7b9cf8f2d7e94dfa6714f20a6c1f92ecab2c73d9bbe23cc1'),
+    'dag_fuzz(7) simulate --policy general': (0, '0b3bc5b652b5a8005192713132b004c01f93be75b85245b00d8fd3e46a47a340'),
+    'dag_fuzz(7) simulate --policy general --json': (0, '17b15a18199f98ca3e96ad1be26ab679e2805151958dfba618f99b39042793da'),
+    'dag_fuzz(7) simulate --policy general --mc --seed 7': (0, 'a237d0d21013aced9cde8dc525add3fff9b1ac19f198ed575b769e4aaccb228e'),
+    'dag_fuzz(7) simulate --policy general --mc --seed 7 --json': (0, '5e6f8fefdef4bed6eacb8e5eedb49574eb7852d57642527d89b02d50f8b21c0b'),
+    'dag_fuzz(7) trace --policy general --seed 5': (0, '59ecb5f6eeee6486fd8cfdbf04280b4b9c035727fec2c35791ef08b3398951a3'),
+    'dag_fuzz(7) trace --policy general --seed 5 --json': (0, 'e90a486cd3da0d91cab05c0508046b6e657c9d94ca3cbec148cfd1581cf6949c'),
+}
+
+
+def test_cli_output_bytes_match_the_golden_digests(tmp_path):
+    got = golden_outputs(tmp_path)
+    assert len(got) == len(GOLDEN_CLI_OUTPUTS)
+    changed = [key for key, value in got.items() if GOLDEN_CLI_OUTPUTS.get(key) != value]
+    assert changed == []
