@@ -18,7 +18,9 @@ per offline spec; no list of realizations is ever built.
   nodes i..n-1, so the pass walks the realizations with an odometer
   whose fastest digit is the lowest-index node with an outcome table:
   a step that moves node h recomputes rows h..0 and keeps the rows
-  above.  It stores each realization's unrestricted best path as one
+  above.  Rows have entries only at capacity states reachable from the
+  source at full capacity, each looping over choices built once per
+  oracle.  It stores each realization's unrestricted best path as one
   interned path id in a flat array (8 bytes per realization), indexed
   by the realization's position in node-major `itertools.product`
   order, the order of `model.enumerate_realizations`.  That result does
@@ -28,7 +30,9 @@ per offline spec; no list of realizations is ever built.
   realization's mass `1 * p_0 * p_1 * ...` to its buckets (expected
   value, `x`, path law, conditional laws) with the same operations in
   the same order as a per-realization loop, so float statistics are
-  bit-identical to that loop and `Fraction` statistics stay exact.
+  bit-identical to that loop and `Fraction` statistics stay exact.  The
+  sum of a path's values is chosen once per table from the types it
+  holds, not tested per realization.
 * Exact tables (`Instance.exact`) run both passes on the integer
   numerators of `Instance.scale`, which compare and tie as the values
   do, and each statistic becomes one canonical `Fraction` at the end,
@@ -103,10 +107,13 @@ class _BestPathDP:
 
     A capacity state is a mixed-radix index over the binding labels'
     remaining capacities; `full`, the last index, has every label at
-    capacity.  Row i holds per state the best value from node i to the
-    sink, or None when the sink is out of reach, and an interned path
-    id.  A value is `values[e] + best[dst]` and ties keep the lower edge
-    id (strict `>` over ascending ids), so the source's path is the
+    capacity.  Row i has one entry per live state of node i (reachable
+    from the source at `full`, with the sink in reach): the best value
+    from node i to the sink and an interned path id.  Its choices
+    (`cands`: column in `out[i]`, dst index, dst's entry; built once, in
+    ascending edge id) are the edges to a live child state.  A value is
+    `values[e] + best[dst]` and ties keep the lower edge id (strict `>`
+    over ascending ids), so the source's path is the
     lexicographically smallest best one.  The label transitions (`trans`:
     per edge id the child state per state, or None for an edge that uses
     no binding label) and every node's edge values per outcome (`values`)
@@ -150,6 +157,22 @@ class _BestPathDP:
         self.sums = self.values if nums is None else [
             [tuple(nums[e][o] for e, _, _ in out) for o in range(len(v))] for out, v in zip(self.out, self.values)
         ]
+        reach: list[set[int]] = [set() for _ in self.out]  # states reachable from the source at full
+        reach[0].add(self.full)
+        for i, edges in enumerate(self.out):
+            for _, j, trans in edges:
+                reach[j] |= reach[i] if trans is None else {trans[s] for s in reach[i]} - {None}
+        entry: list[dict[int, int]] = [{} for _ in self.out]  # node -> live state -> its entry
+        self.cands: list[tuple[tuple[tuple[int, int, int], ...], ...]] = [()] * len(self.out)
+        for i in range(len(self.out) - 1, -1, -1):
+            rows = []
+            for s in sorted(reach[i]):
+                nxt = [(col, j, s if trans is None else trans[s]) for col, (_, j, trans) in enumerate(self.out[i])]
+                choices = tuple((col, j, entry[j][c]) for col, j, c in nxt if c in entry[j])
+                if choices or i == len(self.out) - 1:  # the sink's entries end every path
+                    entry[i][s] = len(rows)
+                    rows.append(choices)
+            self.cands[i] = tuple(rows)
         # path id -> (first edge id, id of the rest); id 0 is the empty path
         self.links: list[tuple[int, int] | None] = [None]
         self._ids: dict[tuple[int, int], int] = {}
@@ -159,8 +182,8 @@ class _BestPathDP:
         n = len(self.out)
         vrows: list = [None] * n
         prows: list = [None] * n
-        vrows[-1] = [0] * self.n_states  # int 0 keeps Fraction values exact
-        prows[-1] = [0] * self.n_states
+        vrows[-1] = [0] * len(self.cands[-1])  # int 0 keeps Fraction values exact
+        prows[-1] = [0] * len(self.cands[-1])
         return vrows, prows
 
     def row(self, i: int, vals: Sequence[float], vrows: list, prows: list) -> None:
@@ -168,34 +191,28 @@ class _BestPathDP:
         `out[i]`, and the rows of later nodes."""
         edges = self.out[i]
         ids = self._ids
-        best_v: list = [None] * self.n_states
-        best_p = [0] * self.n_states
-        for s in range(self.n_states):
+        best_v = []
+        best_p = []
+        for choices in self.cands[i]:
             bv = None
-            for (eid, j, trans), v in zip(edges, vals):
-                c = s if trans is None else trans[s]
-                if c is None:
-                    continue
-                sub = vrows[j][c]
-                if sub is None:
-                    continue
-                w = v + sub
+            for c, j, k in choices:
+                w = vals[c] + vrows[j][k]
                 if bv is None or w > bv:
-                    bv, be, bj, bc = w, eid, j, c
-            if bv is not None:
-                key = (be, prows[bj][bc])
-                pid = ids.get(key)
-                if pid is None:
-                    pid = ids[key] = len(self.links)
-                    self.links.append(key)
-                best_v[s], best_p[s] = bv, pid
+                    bv, bc, bj, bk = w, c, j, k
+            key = (edges[bc][0], prows[bj][bk])
+            pid = ids.get(key)
+            if pid is None:
+                pid = ids[key] = len(self.links)
+                self.links.append(key)
+            best_v.append(bv)
+            best_p.append(pid)
         vrows[i], prows[i] = best_v, best_p
 
     def source_id(self, vrows: list, prows: list) -> int:
-        if vrows[0][self.full] is None:
+        if not self.cands[0]:
             where = " within label capacities" if self.n_states > 1 else ""
             raise InvalidInstanceError("source cannot reach sink" + where)
-        return prows[0][self.full]
+        return prows[0][0]
 
     def path(self, pid: int) -> tuple[int, ...]:
         edges = []
@@ -256,11 +273,10 @@ class Oracle:
         for i in range(n - 2, -1, -1):
             dp.row(i, vals[i], vrows, prows)
         dp.source_id(vrows, prows)  # reachability does not depend on the values
-        full = dp.full
         at = [0] * len(digits)
         pos = 0
         while True:
-            ids[pos] = prows[0][full]
+            ids[pos] = prows[0][0]
             # next realization: the lowest-index node moves fastest
             for k, (i, size, stride) in enumerate(digits):
                 if at[k] + 1 < size:
@@ -285,7 +301,12 @@ class Oracle:
         best = self._best_ids
         dp = self._dp
         inst = self.inst
-        masses, add = (inst.scale.masses, sum) if inst.exact else ([[o.p for o in t] for t in inst.tables], stable_sum)
+        masses = inst.scale.masses if inst.exact else [[o.p for o in t] for t in inst.tables]
+        # one path-value sum per table: exact on ints and Fractions, compensated on floats,
+        # `stable_sum` (a type test per path) only when floats and Fractions mix
+        kinds = {type(v) for rows in dp.sums for row in rows for v in row} | {type(p) for row in masses for p in row}
+        frac, flt = (any(issubclass(t, cls) for t in kinds) for cls in (Fraction, float))
+        add = stable_sum if frac and flt else math.fsum if flt else sum
         tabled = [i for i, table in enumerate(inst.tables) if table]
         # conditional-law buckets: per node with a table a block of rows,
         # one per outcome, with a column per out-edge in order and one
@@ -297,14 +318,18 @@ class Oracle:
         acc: list[float] = [0] * base[-1]
         column = {e.id: c for out in inst.out_edges for c, e in enumerate(out)}
         edge_src = [inst.node_index[e.src] for e in inst.edges]
-        # per distinct path id: the spec's path and its bucket column per tabled node
+        # per distinct path id, first seen first: the spec's path, its slot
+        # among the distinct spec paths and its bucket column per tabled node
         chosen = {}
-        for pid in set(best):
+        slot: dict[tuple[int, ...], int] = {}
+        for pid in dict.fromkeys(best):
             path = spec.select(dp.path(pid))
             at_node = {edge_src[eid]: column[eid] for eid in path}
-            chosen[pid] = (path, tuple(at_node.get(i, w - 1) for i, w in zip(tabled, width)))
+            cols = tuple(at_node.get(i, w - 1) for i, w in zip(tabled, width))
+            chosen[pid] = (path, slot.setdefault(path, len(slot)), cols)
 
         last = len(tabled) - 1
+        sizes = [len(inst.tables[i]) for i in tabled]
         at = [0] * len(tabled)
         prefix = [1] * (len(tabled) + 1)  # prefix[k + 1] = 1 * p_0 * ... * p_k; int keeps Fraction exact
         rows = [0] * len(tabled)  # bucket offset of each tabled node's current outcome
@@ -320,20 +345,21 @@ class Oracle:
 
         settle(0)
         xs: list[float] = [0] * len(inst.edges)
-        paths: dict[tuple[int, ...], float] = {}
+        path_mass: list[float] = [0] * len(slot)
+        value_of = cur.__getitem__
         value_terms = []
         for pid in best:
-            path, cols = chosen[pid]
+            path, p, cols = chosen[pid]
             m = prefix[-1]
-            value_terms.append(m * add([cur[eid] for eid in path]))
+            value_terms.append(m * add(map(value_of, path)))
             for eid in path:
                 xs[eid] += m
-            paths[path] = paths.get(path, 0) + m
+            path_mass[p] += m
             for r, c in zip(rows, cols):
                 acc[r + c] += m
             # next realization in product order: the last node moves fastest
             k = last
-            while k >= 0 and at[k] + 1 == len(inst.tables[tabled[k]]):
+            while k >= 0 and at[k] + 1 == sizes[k]:
                 at[k] = 0
                 k -= 1
             if k >= 0:
@@ -343,7 +369,7 @@ class Oracle:
         if inst.exact:  # masses over d = prod(mass_den); an untouched bucket stays the int 0 sums start from
             d = math.prod(inst.scale.mass_den)
             xs, acc = ([Fraction(a, d) if a else 0 for a in buckets] for buckets in (xs, acc))
-            paths = {path: Fraction(m, d) for path, m in paths.items()}
+            path_mass = [Fraction(m, d) for m in path_mass]
             value_terms = [Fraction(sum(value_terms), d * inst.scale.den)]
         laws: dict[int, tuple[tuple[float, ...], ...]] = {}
         for k, i in enumerate(tabled):
@@ -352,7 +378,7 @@ class Oracle:
                 tuple(a / o.p for a in acc[start : start + w]) if o.p > 0 else (0,) * (w - 1) + (1,)
                 for start, o in zip(range(base[k], base[k + 1], w), inst.tables[i])
             )
-        data = _SpecData(stable_sum(value_terms), tuple(xs), laws, paths)
+        data = _SpecData(stable_sum(value_terms), tuple(xs), laws, dict(zip(slot, path_mass)))
         self._specs[spec] = data
         return data
 

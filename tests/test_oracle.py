@@ -52,7 +52,7 @@ FUZZ = (
 
 
 def test_opt_path_matches_bruteforce_per_realization():
-    for inst in FUZZ[:40]:
+    for inst in FUZZ:
         orc = Oracle(inst)
         paths = all_feasible_paths(inst)
         for choices, values, _ in iter_realizations(inst):
@@ -60,6 +60,42 @@ def test_opt_path_matches_bruteforce_per_realization():
             ref_edges, ref_value = best_feasible_path(paths, values)
             assert sel.edges == ref_edges
             assert abs(sel.value - ref_value) < 1e-12
+
+
+def unreachable_states():
+    """Two binding labels of capacity 1 and ties in int values: node u is
+    entered only through a labeled edge, so the capacity states with both
+    labels left or both spent are unreachable there, and node v sees only
+    those two."""
+    third = Fraction(1, 3)
+    return Instance.build(
+        ["s", "u", "v", "t"],
+        [
+            ("s", "u", ("a",)), ("s", "u", ("b",)), ("s", "v", ()),
+            ("u", "v", ("a",)), ("u", "v", ("b",)), ("u", "t", ()),
+            ("v", "t", ("a",)), ("v", "t", ()),
+        ],
+        {"a": 1, "b": 1},
+        {
+            "s": [(third, {0: 2, 1: 1, 2: 0}), (2 * third, {0: 0, 1: 2, 2: 1})],
+            "u": [(third, {3: 3, 4: 1, 5: 0}), (third, {3: 0, 4: 2, 5: 2}), (third, {3: 1, 4: 0, 5: 1})],
+            "v": [(Fraction(1, 2), {6: 2, 7: 0}), (Fraction(1, 2), {6: 0, 7: 1})],
+        },
+    )
+
+
+def test_shared_pass_matches_bruteforce_per_realization():
+    labeled = unreachable_states()
+    dp = Oracle(labeled)._dp
+    assert [len(rows) for rows in dp.cands[1:3]] == [2, 2] and dp.n_states == 4
+    for inst in [*FUZZ, labeled]:
+        orc = Oracle(inst)
+        paths = all_feasible_paths(inst)
+        best = orc._best_ids
+        realizations = list(iter_realizations(inst))  # product order, like the shared pass
+        assert len(best) == len(realizations)
+        for pid, (_, values, _) in zip(best, realizations):
+            assert orc._dp.path(pid) == best_feasible_path(paths, values)[0]
 
 
 def test_offline_statistics_match_bruteforce():
@@ -335,3 +371,16 @@ def test_expected_opt_stays_exact_on_int_valued_paths():
     )
     got = Oracle(inst).expected_opt()
     assert type(got) is Fraction and got == Fraction(5, 3)
+
+
+def test_expected_opt_stays_exact_with_a_zero_mass():
+    # a zero mass keeps the table off the integer numerators; its int-valued paths still sum exactly
+    inst = Instance.build(
+        ["s", "a", "t"],
+        [("s", "a", ()), ("a", "t", ())],
+        outcomes={"s": [(Fraction(1, 3), {0: 1}), (Fraction(2, 3), {0: 2}), (Fraction(0), {0: 5})], "a": [(1, {1: 0})]},
+    )
+    assert not inst.exact
+    got = Oracle(inst).expected_opt()
+    assert type(got) is Fraction and got == Fraction(5, 3)
+    assert repr(Oracle(json_twin(inst)).expected_opt()) == "1.6666666666666665"
