@@ -7,8 +7,8 @@ is deterministic.  On top of the per-realization selection this module
 computes expected values, per-edge selection probabilities, and the
 choice distribution at a node conditioned on that node's outcome.  It
 also computes the value of the best fully-informed online walker by
-backward induction over the same `_BestPathDP` tables, so it shares the
-label-budget state cap check.
+backward induction over the same `_BestPathDP` rows, so it shares their
+live capacity states and the label-budget state cap check.
 
 Exact statistics take one shared pass per oracle and one accumulation
 per offline spec; no list of realizations is ever built.
@@ -39,9 +39,11 @@ per offline spec; no list of realizations is ever built.
   the one `Fraction` arithmetic gives.  Float and mixed tables run on
   their own numbers.
 
-`opt_path` scores one given realization with the same DP rows.  The
-policies read the oracle's own tables: the DP's label transitions and
-states, and per spec the choice-law rows (`choice_laws`).
+`opt_path` scores one given realization with the same DP rows, and the
+online DP backs up expected values over them.  A source with no live
+entry is refused once, when the DP is built.  The policies read the
+oracle's own tables: the DP's label transitions and states, and per
+spec the choice-law rows (`choice_laws`).
 """
 
 from __future__ import annotations
@@ -117,10 +119,12 @@ class _BestPathDP:
     lexicographically smallest best one.  The label transitions (`trans`:
     per edge id the child state per state, or None for an edge that uses
     no binding label) and every node's edge values per outcome (`values`)
-    are built once.  The online DP reads both, `opt_path` reads `values`,
+    are built once.  `solve` fills every row for one set of edge values.
+    `opt_path` reads `values`, the online DP reads `cands` and `values`,
     and the policies' exact engine and walker read `trans`.  The shared
     pass and the annotation add `sums`: `values`, or for exact tables
-    their integer numerators.  Callers check the state count first.
+    their integer numerators.  A source without a live state is refused
+    here.  Callers check the state count first.
     """
 
     def __init__(self, inst: Instance, active_labels: tuple[tuple[str, int], ...]):
@@ -138,52 +142,55 @@ class _BestPathDP:
             states = range(n_states) if need else ()
             row = tuple(st - drop if all(st // s % r for s, r in need) else None for st in states)
             self.trans.append(row or None)
-        # out[i]: (edge id, dst index, transition), ascending edge id
-        self.out: list[tuple[tuple[int, int, tuple[int | None, ...] | None], ...]] = []
-        # values[i][o]: node i's edge values in outcome o, aligned with out[i]
+        # out[i]: (edge id, dst index), ascending edge id
+        self.out: list[tuple[tuple[int, int], ...]] = []
+        # values[i][o]: node i's edge values in outcome o, aligned with out[i];
+        # int 0 for a value the outcome leaves out and at a node without a table
         self.values: list[tuple[tuple[float, ...], ...]] = []
         for i, edges in enumerate(inst.out_edges):
-            row = []
-            for e in edges:
-                j = inst.node_index[e.dst]
-                if j <= i:  # against node order (validation refuses it): on no path the DP builds
-                    continue
-                row.append((e.id, j, self.trans[e.id]))
-            self.out.append(tuple(row))
-            self.values.append(
-                [tuple(o.values.get(eid, 0.0) for eid, _, _ in row) for o in inst.tables[i]] or [(0.0,) * len(row)]
-            )
+            # an edge against node order (validation refuses it) is on no path the DP builds
+            row = tuple((e.id, inst.node_index[e.dst]) for e in edges if inst.node_index[e.dst] > i)
+            self.out.append(row)
+            self.values.append([tuple(o.values.get(eid, 0) for eid, _ in row) for o in inst.tables[i]] or [(0,) * len(row)])
         nums = inst.scale.nums if inst.exact else None
         self.sums = self.values if nums is None else [
-            [tuple(nums[e][o] for e, _, _ in out) for o in range(len(v))] for out, v in zip(self.out, self.values)
+            [tuple(nums[e][o] for e, _ in out) for o in range(len(v))] for out, v in zip(self.out, self.values)
         ]
+        trans = self.trans
         reach: list[set[int]] = [set() for _ in self.out]  # states reachable from the source at full
         reach[0].add(self.full)
         for i, edges in enumerate(self.out):
-            for _, j, trans in edges:
-                reach[j] |= reach[i] if trans is None else {trans[s] for s in reach[i]} - {None}
+            for eid, j in edges:
+                t = trans[eid]
+                reach[j] |= reach[i] if t is None else {t[s] for s in reach[i]} - {None}
         entry: list[dict[int, int]] = [{} for _ in self.out]  # node -> live state -> its entry
         self.cands: list[tuple[tuple[tuple[int, int, int], ...], ...]] = [()] * len(self.out)
         for i in range(len(self.out) - 1, -1, -1):
             rows = []
             for s in sorted(reach[i]):
-                nxt = [(col, j, s if trans is None else trans[s]) for col, (_, j, trans) in enumerate(self.out[i])]
+                nxt = [(col, j, s if trans[eid] is None else trans[eid][s]) for col, (eid, j) in enumerate(self.out[i])]
                 choices = tuple((col, j, entry[j][c]) for col, j, c in nxt if c in entry[j])
                 if choices or i == len(self.out) - 1:  # the sink's entries end every path
                     entry[i][s] = len(rows)
                     rows.append(choices)
             self.cands[i] = tuple(rows)
+        if not self.cands[0]:
+            where = " within label capacities" if n_states > 1 else ""
+            raise InvalidInstanceError("source cannot reach sink" + where)
         # path id -> (first edge id, id of the rest); id 0 is the empty path
         self.links: list[tuple[int, int] | None] = [None]
         self._ids: dict[tuple[int, int], int] = {}
 
-    def fresh_rows(self) -> tuple[list, list]:
-        """Value and path-id rows with only the sink's filled in."""
+    def solve(self, vals: Sequence[Sequence[float]]) -> tuple[list, list]:
+        """Value and path-id rows for node i's edge values `vals[i]`,
+        aligned with `out[i]`; the source's one entry is at [0][0]."""
         n = len(self.out)
         vrows: list = [None] * n
         prows: list = [None] * n
         vrows[-1] = [0] * len(self.cands[-1])  # int 0 keeps Fraction values exact
         prows[-1] = [0] * len(self.cands[-1])
+        for i in range(n - 2, -1, -1):
+            self.row(i, vals[i], vrows, prows)
         return vrows, prows
 
     def row(self, i: int, vals: Sequence[float], vrows: list, prows: list) -> None:
@@ -207,12 +214,6 @@ class _BestPathDP:
             best_v.append(bv)
             best_p.append(pid)
         vrows[i], prows[i] = best_v, best_p
-
-    def source_id(self, vrows: list, prows: list) -> int:
-        if not self.cands[0]:
-            where = " within label capacities" if self.n_states > 1 else ""
-            raise InvalidInstanceError("source cannot reach sink" + where)
-        return prows[0][0]
 
     def path(self, pid: int) -> tuple[int, ...]:
         edges = []
@@ -242,11 +243,9 @@ class Oracle:
         """The spec's path and its value when node i draws outcome `choices[i]`."""
         dp = self._dp
         rows = [vals[o] for vals, o in zip(dp.values, choices)]
-        vrows, prows = dp.fresh_rows()
-        for i in range(len(dp.out) - 2, -1, -1):
-            dp.row(i, rows[i], vrows, prows)
-        edges = spec.select(dp.path(dp.source_id(vrows, prows)))
-        value = {eid: v for out, vals in zip(dp.out, rows) for (eid, _, _), v in zip(out, vals)}
+        _, prows = dp.solve(rows)
+        edges = spec.select(dp.path(prows[0][0]))
+        value = {eid: v for out, vals in zip(dp.out, rows) for (eid, _), v in zip(out, vals)}
         return PathSelection(edges, stable_sum(value[eid] for eid in edges))
 
     @cached_property
@@ -269,10 +268,7 @@ class Oracle:
         digits.reverse()
         ids = array("q", [0]) * count
         vals = [v[0] for v in dp.sums]
-        vrows, prows = dp.fresh_rows()
-        for i in range(n - 2, -1, -1):
-            dp.row(i, vals[i], vrows, prows)
-        dp.source_id(vrows, prows)  # reachability does not depend on the values
+        vrows, prows = dp.solve(vals)
         at = [0] * len(digits)
         pos = 0
         while True:
@@ -340,7 +336,7 @@ class Oracle:
                 i, o = tabled[k], at[k]
                 prefix[k + 1] = prefix[k] * masses[i][o]
                 rows[k] = base[k] + o * width[k]
-                for (eid, _, _), v in zip(dp.out[i], dp.sums[i][o]):
+                for (eid, _), v in zip(dp.out[i], dp.sums[i][o]):
                     cur[eid] = v
 
         settle(0)
@@ -426,32 +422,18 @@ class Oracle:
     def optimal_online_value(self) -> float:
         """Expected value of the walker that sees each node's outcome on
         arrival and otherwise knows all distributions, by backward
-        induction over the best-path DP's (node, capacity state) grid."""
-        inst = self.inst
+        induction over the best-path DP's live rows: per entry and
+        outcome, the best of the entry's choices (the first on ties)."""
         dp = self._dp
-        value: list = [None] * len(inst.nodes)
-        value[-1] = [0] * dp.n_states
-        for i in range(len(inst.nodes) - 2, -1, -1):
-            row = []
-            for s in range(dp.n_states):
-                per_outcome = []
-                for o, vals in zip(inst.tables[i], dp.values[i]):
-                    best = None
-                    for (_, j, trans), v in zip(dp.out[i], vals):
-                        c = s if trans is None else trans[s]
-                        if c is None:
-                            continue
-                        w = v + value[j][c]
-                        if best is None or w > best:
-                            best = w
-                    if best is None:
-                        raise InvalidInstanceError(
-                            f"walker can get stuck at {inst.nodes[i]!r}; every node needs an unlabeled way forward"
-                        )
-                    per_outcome.append(o.p * best)
-                row.append(stable_sum(per_outcome))
-            value[i] = row
-        out = value[0][dp.full]
+        value: list = [None] * len(dp.cands)
+        value[-1] = [0] * len(dp.cands[-1])
+        for i in range(len(dp.cands) - 2, -1, -1):
+            outcomes = [(o.p, vals) for o, vals in zip(self.inst.tables[i], dp.values[i])]
+            value[i] = [
+                stable_sum(p * max(vals[c] + value[j][k] for c, j, k in choices) for p, vals in outcomes)
+                for choices in dp.cands[i]
+            ]
+        out = value[0][0]
         if isinstance(out, float) and not math.isfinite(out):
             raise OverflowError(f"optimal online value is {out}")
         return out

@@ -346,8 +346,6 @@ class FeasibilityProbs:
     p: dict[int, float]
     mode: str  # "exact" or "mc"
     divisor: float  # d + 2
-    trials: int | None = None
-    seed: int | None = None
     # exact mode: the value of the engine run that computed p
     _value: float | None = field(default=None, repr=False, compare=False)
 
@@ -417,7 +415,7 @@ def feasibility_probabilities(
             est[t.eid] = pe
             if pe > 0:
                 walker.thresholds[t.eid] = exact_threshold(_labeled_acceptance(divisor, pe))
-    return FeasibilityProbs(est, "mc", divisor, trials, seed)
+    return FeasibilityProbs(est, "mc", divisor)
 
 
 # ---------------------------------------------------------------------------

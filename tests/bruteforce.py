@@ -1,18 +1,19 @@
 """Slow reference implementations used only by the tests.
 
-Everything here enumerates explicitly (realizations, paths, branches of
-a policy's coin tree, antichains) and shares no code with the package's
-fast paths, so agreement between the two is meaningful.  The two
-exceptions score realizations with the package's per-realization
-selection (`Oracle.opt_path`, itself checked against the path search
-here): the Monte Carlo conditional choice law, and the per-realization
-annotation loop, which checks that the oracle's shared pass gives the
-same statistics bit for bit.  Meant for instances with a handful of
-nodes.
+Everything here enumerates explicitly (realizations, paths, the online
+walker's label usage, branches of a policy's coin tree, antichains) and
+shares no code with the package's fast paths, so agreement between the
+two is meaningful.  The two exceptions score realizations with the
+package's per-realization selection (`Oracle.opt_path`, itself checked
+against the path search here): the Monte Carlo conditional choice law,
+and the per-realization annotation loop, which checks that the oracle's
+shared pass gives the same statistics bit for bit.  Meant for instances
+with a handful of nodes.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import defaultdict
@@ -115,6 +116,35 @@ def offline_statistics(inst, allowed=None, fallback=None):
                 rows.append({k: m / p for k, m in law.items()})
         cond[inst.nodes[i]] = rows
     return expected, x, cond, dict(path_dist)
+
+
+def online_value(inst):
+    """Expected value of the best fully informed online walker, by
+    recursion over (node, used count per declared label): in each
+    outcome of a node the walker takes the best out-edge that fits the
+    label capacities and still leaves the sink in reach.  None when no
+    source-sink path fits."""
+    names = sorted(inst.labels)
+    caps = [inst.labels[lbl] for lbl in names]
+    sink = len(inst.nodes) - 1
+
+    @functools.cache
+    def best_from(i, used):
+        if i == sink:
+            return 0
+        moves = []
+        for e in inst.out_edges[i]:
+            after = tuple(u + (lbl in e.labels) for lbl, u in zip(names, used))
+            if all(u <= c for u, c in zip(after, caps)):
+                rest = best_from(inst.node_index[e.dst], after)
+                if rest is not None:
+                    moves.append((e.id, rest))
+        if not moves:
+            return None
+        rows = [(o.p, o.values) for o in inst.tables[i]] or [(1, {})]
+        return sum(p * max(values.get(eid, 0) + rest for eid, rest in moves) for p, values in rows)
+
+    return best_from(0, (0,) * len(names))
 
 
 def policy_tree(inst, focal, laws, accept):

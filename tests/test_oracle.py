@@ -15,6 +15,7 @@ from pathprophet import (
     CoverError,
     EnumerationCapError,
     Instance,
+    InvalidInstanceError,
     Oracle,
     POLICIES,
     PathProphetError,
@@ -39,6 +40,7 @@ from bruteforce import (
     conditional_choice_distribution_mc,
     iter_realizations,
     offline_statistics,
+    online_value,
 )
 from conftest import dag_fuzz, diamond, labeled_fuzz, many_binding_labels, strands_fuzz, width1_fuzz
 
@@ -198,6 +200,45 @@ def test_online_value_sandwiched_between_fixed_path_and_prophet():
             for p in all_feasible_paths(inst)
         )
         assert online >= best_fixed - 1e-9
+
+
+def test_online_value_matches_bruteforce():
+    labeled = [
+        unreachable_states(),
+        generate_paper_instance("upper49", eps=Fraction(1, 10)),
+        generate_paper_instance("mchoice"),
+        generate_paper_instance("mchoice", n=6, m=3, dist=[(Fraction(3, 8), Fraction(1, 4)), (Fraction(5, 8), Fraction(2))]),
+    ]
+    for inst in FUZZ + labeled:
+        assert Oracle(inst).optimal_online_value() == online_value(inst)
+        twin = json_twin(inst)
+        assert Oracle(twin).optimal_online_value() == pytest.approx(online_value(twin), rel=1e-12, abs=0)
+
+
+def test_online_dp_passes_over_an_unvalidated_dead_end():
+    """s->a spends the only unit of L and a->t needs it again: the walker
+    must not enter a, and no state refuses the instance."""
+    inst = Instance.build(
+        ["s", "a", "t"],
+        [("s", "a", ("L",)), ("s", "t", ()), ("a", "t", ("L",))],
+        {"L": 1},
+        {"s": [(1, {0: 5, 1: 2})], "a": [(1, {2: 1})]},
+    )
+    assert Oracle(inst).optimal_online_value() == 2 == online_value(inst)
+    assert Oracle(inst).expected_opt() == 2
+
+
+def test_dead_source_is_refused_alike():
+    inst = Instance.build(
+        ["s", "a", "t"],
+        [("s", "a", ("L",)), ("a", "t", ("L",))],
+        {"L": 1},
+        {"s": [(1, {0: 1})], "a": [(1, {1: 1})]},
+    )
+    assert online_value(inst) is None
+    for query in (Oracle.expected_opt, Oracle.optimal_online_value):
+        with pytest.raises(InvalidInstanceError, match="^source cannot reach sink within label capacities$"):
+            query(Oracle(inst))
 
 
 def test_online_state_cap():
@@ -374,13 +415,12 @@ def test_expected_opt_stays_exact_on_int_valued_paths():
 
 
 def test_expected_opt_stays_exact_with_a_zero_mass():
-    # a zero mass keeps the table off the integer numerators; its int-valued paths still sum exactly
-    inst = Instance.build(
-        ["s", "a", "t"],
-        [("s", "a", ()), ("a", "t", ())],
-        outcomes={"s": [(Fraction(1, 3), {0: 1}), (Fraction(2, 3), {0: 2}), (Fraction(0), {0: 5})], "a": [(1, {1: 0})]},
-    )
-    assert not inst.exact
-    got = Oracle(inst).expected_opt()
-    assert type(got) is Fraction and got == Fraction(5, 3)
-    assert repr(Oracle(json_twin(inst)).expected_opt()) == "1.6666666666666665"
+    # a zero mass keeps the table off the integer numerators; its int-valued paths still sum exactly,
+    # also through a node without a table, whose edge values are the int 0
+    s_table = [(Fraction(1, 3), {0: 1}), (Fraction(2, 3), {0: 2}), (Fraction(0), {0: 5})]
+    for outcomes in ({"s": s_table, "a": [(1, {1: 0})]}, {"s": s_table}):
+        inst = Instance.build(["s", "a", "t"], [("s", "a", ()), ("a", "t", ())], outcomes=outcomes)
+        assert not inst.exact
+        got = Oracle(inst).expected_opt()
+        assert type(got) is Fraction and got == Fraction(5, 3)
+        assert repr(Oracle(json_twin(inst)).expected_opt()) == "1.6666666666666665"
