@@ -15,13 +15,14 @@ import itertools
 import json
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import EnumerationCapError, InvalidInstanceError
-from .util import TOL, cumulative, default_enum_cap, pick
+from .util import TOL, cumulative, default_enum_cap
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,7 @@ class Instance:
         return tuple(tuple(b) for b in buckets)
 
     @cached_property
-    def draw_tables(self) -> tuple[tuple[list[float], int] | None, ...]:
+    def draw_tables(self) -> tuple[tuple[list[float], list[int]] | None, ...]:
         """Per node the `util.cumulative` table `sample_realization` draws from (None without one)."""
         return tuple(cumulative([o.p for o in t]) if t else None for t in self.tables)
 
@@ -339,7 +340,14 @@ def enumerate_realizations(inst: Instance) -> list[tuple[int, ...]]:
 def sample_realization(inst: Instance, rng: random.Random) -> list[int]:
     """Outcome index per node (0 without a table): one uniform per tabled node, in node order."""
     rand = rng.random
-    return [0 if t is None else pick(t, rand()) for t in inst.draw_tables]
+    out = []
+    for table in inst.draw_tables:
+        if table is None:
+            out.append(0)
+        else:
+            cum, picks = table
+            out.append(picks[bisect_right(cum, rand())])
+    return out
 
 
 def instance_to_dict(inst: Instance) -> dict[str, Any]:

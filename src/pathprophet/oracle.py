@@ -49,7 +49,6 @@ spec the choice-law rows (`choice_laws`).
 from __future__ import annotations
 
 import math
-import random
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,7 +57,7 @@ from typing import Sequence
 
 from .errors import InvalidInstanceError
 from .model import Instance, active_label_caps, enumeration_size, sample_realization
-from .util import check_state_cap, derive_seed, stable_sum
+from .util import check_state_cap, stable_sum, trial_streams
 
 
 @dataclass(frozen=True)
@@ -411,10 +410,8 @@ class Oracle:
     def expected_opt_mc(self, trials: int, seed: int, spec: OfflineSpec = OPT) -> float:
         if trials < 1:
             raise ValueError("trials must be positive")
-        terms = []
-        for j in range(trials):
-            rng = random.Random(derive_seed(seed, "opt", j))
-            terms.append(self.opt_path(sample_realization(self.inst, rng), spec).value)
+        rngs = trial_streams(trials, seed, "opt")
+        terms = [self.opt_path(sample_realization(self.inst, rng), spec).value for rng in rngs]
         return stable_sum(terms) / trials
 
     # -- best fully-informed online walker -----------------------------
@@ -428,7 +425,8 @@ class Oracle:
         value: list = [None] * len(dp.cands)
         value[-1] = [0] * len(dp.cands[-1])
         for i in range(len(dp.cands) - 2, -1, -1):
-            outcomes = [(o.p, vals) for o, vals in zip(self.inst.tables[i], dp.values[i])]
+            # a node without a table is one outcome of mass 1, as in the offline pass
+            outcomes = list(zip([o.p for o in self.inst.tables[i]] or [1], dp.values[i]))
             value[i] = [
                 stable_sum(p * max(vals[c] + value[j][k] for c, j, k in choices) for p, vals in outcomes)
                 for choices in dp.cands[i]

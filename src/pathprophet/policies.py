@@ -58,6 +58,7 @@ as the exact (possibly `Fraction`) probability would.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cache
 from typing import Any, NamedTuple, Sequence
@@ -66,7 +67,7 @@ from .cover import PathCover, chain_nodes, cover_from_paths, min_path_cover, sho
 from .errors import CoverError, PolicyError, ScheduleError
 from .model import Instance, sample_realization
 from .oracle import OPT, OfflineSpec, Oracle, restricted_spec
-from .util import TOL, check_state_cap, cumulative, derive_seed, exact_threshold, pick, stable_sum
+from .util import TOL, check_state_cap, cumulative, exact_threshold, stable_sum, trial_streams
 
 
 def path_nodes(inst: Instance, focal: Sequence[int]) -> tuple[str, ...]:
@@ -400,10 +401,9 @@ def feasibility_probabilities(
     walker = FocalWalker(inst, focal, oracle, spec, None)  # staged rule
     est: dict[int, float] = {}
     for i, stop in enumerate(walker.stops):
-        tents = stop.tents[:-1]
+        tents = stop.out
         hits = [0] * len(tents)
-        for j in range(trials):
-            rng = random.Random(derive_seed(seed, "feas", i, j))
+        for rng in trial_streams(trials, seed, "feas", i):
             _, cur, state = walker.walk(rng, sample_realization(inst, rng), stop=i)
             if cur != i:
                 continue  # skipped past this position
@@ -445,8 +445,10 @@ class _Stop(NamedTuple):
     node: str
     slot: int  # index of the node's outcome in the choices the walk reads
     path_eid: int
-    laws: list[tuple[list[float], int]]  # per outcome: cumulative choice law
-    tents: list[_Tentative | None]  # out-edges in order, then None
+    # per outcome: the cumulative choice law over the out-edges in order,
+    # then None, and the tentative each `bisect_right` index draws
+    laws: list[tuple[list[float], list[_Tentative | None]]]
+    out: list[_Tentative]
 
 
 class FocalWalker:
@@ -473,14 +475,15 @@ class FocalWalker:
         home = inst if home is None else home
         focal = tuple(focal)
         order = path_nodes(inst, focal)
-        laws = [[cumulative(row) for row in oracle.choice_laws(u, spec)] for u in order[:-1]]
         path = _compile_path(inst, focal, order, oracle)
         self.full = path.full
         self.labeled = isinstance(rule, FeasibilityProbs)
-        self.stops = [
-            _Stop(u, home.node_index[u], path_eid, node_laws, [*tents, None])
-            for u, path_eid, tents, node_laws in zip(path.order, path.focal, path.out, laws)
-        ]
+        self.stops = []
+        for u, path_eid, out in zip(path.order, path.focal, path.out):
+            tents = [*out, None]
+            tables = map(cumulative, oracle.choice_laws(u, spec))
+            laws = [(cum, [tents[k] for k in picks]) for cum, picks in tables]
+            self.stops.append(_Stop(u, home.node_index[u], path_eid, laws, out))
         self.thresholds: list[float | None] = [None] * len(inst.edges)
         for eid, a in ({} if rule is None else rule._acceptance(path)).items():
             self.thresholds[eid] = exact_threshold(a)
@@ -497,30 +500,23 @@ class FocalWalker:
         the position reached and the label state; appends one record per
         visited node to `steps` when given."""
         rand = rng.random
-        thresholds, labeled = self.thresholds, self.labeled
+        stops, thresholds, labeled = self.stops, self.thresholds, self.labeled
         state = self.full
         edges: list[int] = []
         cur = 0
-        end = len(self.stops) if stop is None else stop
+        end = len(stops) if stop is None else stop
         while cur < end:
-            node, slot, path_eid, laws, tents = self.stops[cur]
-            outcome = choices[slot]
-            tent = tents[pick(laws[outcome], rand())]
-            taken, nxt, coin, feasible = path_eid, cur + 1, None, None
+            node, slot, path_eid, laws, _ = stops[cur]
+            cum, tents = laws[choices[slot]]
+            tent = tents[bisect_right(cum, rand())]
+            taken, nxt, coin, ok = path_eid, cur + 1, None, True
             if tent is not None:
                 eid, trans, dst = tent
                 if eid == path_eid:
                     if labeled:  # bookkeeping coin: movement is the same either way
-                        coin, feasible = rand(), True
-                else:
-                    ok = trans is None or trans[state] is not None
-                    thr = thresholds[eid] if ok else None
-                    if labeled:
-                        feasible = ok
-                        if ok and thr is None:
-                            raise PolicyError(
-                                f"p(e)=0 encountered for a tentative edge with x_e>0 (edge {eid})"
-                            )
+                        coin = rand()
+                elif trans is None or trans[state] is not None:
+                    thr = thresholds[eid]
                     if thr is not None:
                         coin = rand()
                         if coin < thr:
@@ -529,10 +525,14 @@ class FocalWalker:
                             taken, nxt = eid, dst
                             if trans is not None:
                                 state = trans[state]
+                    elif labeled:
+                        raise PolicyError(f"p(e)=0 encountered for a tentative edge with x_e>0 (edge {eid})")
+                else:
+                    ok = False  # no capacity left for the tentative: no coin
             edges.append(taken)
             if steps is not None:
-                tentative = None if tent is None else tent.eid
-                steps.append(StepRecord(node, outcome, tentative, feasible, coin, taken))
+                tentative, feasible = (None, None) if tent is None else (tent.eid, ok if labeled else None)
+                steps.append(StepRecord(node, choices[slot], tentative, feasible, coin, taken))
             cur = nxt
         return edges, cur, state
 
@@ -558,30 +558,40 @@ class PolicyWalk:
         # per cover path and contracted edge: the real edges it replays as
         self.replay = contracted and [ci.edges for ci in contracted]
         self.src = [inst.node_index[e.src] for e in inst.edges]
+        self.nums, self.den = inst.scale.nums, inst.scale.den
 
-    def value(self, choices: Sequence[int], edges: Sequence[int]) -> float:
-        scale, src = self.inst.scale, self.src
-        return sum(scale.nums[e][choices[src[e]]] for e in edges) / scale.den
-
-    def run(
-        self, rng: random.Random | None, choices: Sequence[int] | None = None, record: bool = True
-    ) -> Trajectory:
-        if rng is None:
-            raise PolicyError("a random.Random must be supplied")
-        choices = sample_realization(self.inst, rng) if choices is None else choices
-        steps: list[StepRecord] | None = [] if record else None
+    def _walk(
+        self, rng: random.Random, choices: Sequence[int], steps: list[StepRecord] | None
+    ) -> tuple[list[int], float, int | None, float | None]:
+        """One walk: the real edges taken, their value, the cover path
+        walked and, after a replay, the contracted run's value."""
+        nums, src, den = self.nums, self.src, self.den
         if not self.replay:
             edges = self.walkers[0].walk(rng, choices, steps)[0]
-            value = self.value(choices, edges)
-            return Trajectory(tuple(edges), value, tuple(steps or ()), self.sub_index)
+            return edges, sum([nums[e][choices[src[e]]] for e in edges]) / den, self.sub_index, None
         i = rng.randrange(len(self.walkers))
         inner = [self.replay[i][e] for e in self.walkers[i].walk(rng, choices, steps)[0]]
         edges = [eid for real in inner for eid in real]
-        value = self.value(choices, edges)
-        inner_value = self.value(choices, [real[0] for real in inner])
+        value = sum([nums[e][choices[src[e]]] for e in edges]) / den
+        inner_value = sum([nums[real[0]][choices[src[real[0]]]] for real in inner]) / den
         if value < inner_value - 1e-9:
             raise PolicyError("replayed walk lost value against its contracted run")
-        return Trajectory(tuple(edges), value, tuple(steps or ()), i, inner_value)
+        return edges, value, i, inner_value
+
+    def trial(self, rng: random.Random) -> tuple[float, float]:
+        """One unrecorded Monte Carlo trial on a realization drawn from
+        `rng`: the walk's value and its certified value (the contracted
+        run's value after a replay, else the value)."""
+        _, value, _, inner_value = self._walk(rng, sample_realization(self.inst, rng), None)
+        return value, value if inner_value is None else inner_value
+
+    def run(self, rng: random.Random | None, choices: Sequence[int] | None = None) -> Trajectory:
+        if rng is None:
+            raise PolicyError("a random.Random must be supplied")
+        choices = sample_realization(self.inst, rng) if choices is None else choices
+        steps: list[StepRecord] = []
+        edges, value, sub_index, inner_value = self._walk(rng, choices, steps)
+        return Trajectory(tuple(edges), value, tuple(steps), sub_index, inner_value)
 
 
 # ---------------------------------------------------------------------------

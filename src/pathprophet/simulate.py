@@ -9,13 +9,14 @@ cover)` and reads `exact_value()` or passes the result as `prepared=`;
 Monte Carlo runs are reproducible to the bit: trial j draws from
 random.Random seeded by derive_seed(master, "traj", j), so the same
 master seed always yields the same trajectories, mean, and standard
-error, regardless of how many other runs happened in between.
+error, regardless of how many other runs happened in between.  An
+estimate holds one stream (`util.trial_streams`) and reseeds it per
+trial, which draws the same numbers as a fresh generator per trial.
 """
 
 from __future__ import annotations
 
 import math
-import random
 import statistics
 from dataclasses import dataclass, fields
 from typing import Any
@@ -24,7 +25,7 @@ from .cover import PathCover
 from .errors import PolicyError
 from .model import Instance
 from .policies import PreparedPolicy, prepare_policy
-from .util import derive_seed, stable_sum
+from .util import stable_sum, trial_streams
 
 
 def exact_policy_value(inst: Instance, policy: str) -> float:
@@ -67,14 +68,8 @@ def monte_carlo_estimate(
     if trials < 1:
         raise ValueError("trials must be positive")
     prep = prepared if prepared is not None else prepare_policy(inst, policy)
-    walk = prep.sampler()
-    certified = []
-    realized = []
-    for j in range(trials):
-        rng = random.Random(derive_seed(seed, "traj", j))
-        traj = walk.run(rng, record=False)
-        realized.append(traj.value)
-        certified.append(traj.inner_value if traj.inner_value is not None else traj.value)
+    trial = prep.sampler().trial
+    realized, certified = zip(*[trial(rng) for rng in trial_streams(trials, seed, "traj")])
     mean = stable_sum(certified) / trials
     se = statistics.stdev(certified) / math.sqrt(trials) if trials > 1 else 0.0
     return PolicyRunReport(

@@ -5,9 +5,9 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from bisect import bisect_right
+import random
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import StateCapError
 
@@ -58,17 +58,30 @@ def derive_seed(master: int, *parts: object) -> int:
     Stable across processes and platforms; used so that trial j of a
     Monte Carlo run never depends on how many draws earlier trials made.
     """
-    h = hashlib.sha256()
-    h.update(str(master).encode())
-    for part in parts:
-        h.update(b"/")
-        h.update(str(part).encode())
-    return int.from_bytes(h.digest()[:8], "big")
+    key = "/".join(map(str, (master, *parts)))
+    return int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big")
 
 
-def cumulative(weights: Sequence[float]) -> tuple[list[float], int]:
+def trial_streams(trials: int, master: int, *parts: object) -> Iterator[random.Random]:
+    """Trial j's stream for j = 0..trials-1: one `random.Random`, reseeded
+    with `derive_seed(master, *parts, j)` before it is yielded, so that it
+    draws what `random.Random(derive_seed(master, *parts, j))` would.  The
+    shared prefix is hashed once, and its hash object copied per trial."""
+    prefix = hashlib.sha256("/".join(map(str, (master, *parts, ""))).encode())
+    rng = random.Random(0)
+    for j in range(trials):
+        h = prefix.copy()
+        h.update(str(j).encode())
+        rng.seed(int.from_bytes(h.digest()[:8], "big"))
+        yield rng
+
+
+def cumulative(weights: Sequence[float]) -> tuple[list[float], list[int]]:
     """Sampling table for nonnegative weights summing to ~1: the float
-    running sums and the last positive-weight index (see `pick`)."""
+    running sums `cum`, and per index that `bisect_right(cum, u)` can
+    return the bucket it draws, `picks`: the index itself, and for
+    rounding drift past the last sum the last positive-weight bucket.
+    A uniform u in [0, 1) draws `picks[bisect_right(cum, u)]`."""
     acc = 0.0
     last_positive = 0
     cum = []
@@ -77,15 +90,7 @@ def cumulative(weights: Sequence[float]) -> tuple[list[float], int]:
             last_positive = i
         acc += w
         cum.append(acc)
-    return cum, last_positive
-
-
-def pick(table: tuple[list[float], int], u: float) -> int:
-    """Index of the bucket that u in [0, 1) falls in; rounding drift past
-    the last sum resolves to the last positive-weight bucket."""
-    cum, last_positive = table
-    i = bisect_right(cum, u)
-    return i if i < len(cum) else last_positive
+    return cum, [*range(len(cum)), last_positive]
 
 
 def exact_threshold(a: float | Fraction) -> float:

@@ -228,6 +228,17 @@ def test_online_dp_passes_over_an_unvalidated_dead_end():
     assert Oracle(inst).expected_opt() == 2
 
 
+def test_online_value_backs_up_over_a_node_without_a_table():
+    """Unvalidated input: `a` has no outcome table, so the walker passes it
+    as one outcome of mass 1 and zero values, as the offline pass does."""
+    inst = Instance.build(
+        ["s", "a", "b", "t"],
+        [("s", "a", ()), ("a", "b", ()), ("b", "t", ())],
+        outcomes={"s": [(1, {0: 1})], "b": [(1, {2: 7})]},
+    )
+    assert Oracle(inst).optimal_online_value() == 8 == online_value(inst) == Oracle(inst).expected_opt()
+
+
 def test_dead_source_is_refused_alike():
     inst = Instance.build(
         ["s", "a", "t"],

@@ -269,6 +269,28 @@ def test_a_trial_walks_sample_realization_on_its_own_stream(twin):
     assert ran == set(POLICIES)
 
 
+@pytest.mark.parametrize("twin", [False, True], ids=["fraction", "float"])
+def test_a_monte_carlo_trial_is_the_recorded_walk_unrecorded(twin):
+    from pathprophet.util import derive_seed, trial_streams
+
+    ran = set()
+    for maker in (width1_fuzz, labeled_fuzz, dag_fuzz, strands_fuzz):
+        inst = json_twin(maker(3)) if twin else maker(3)
+        for policy in POLICIES:
+            prepared, refused = refusal(lambda: prepare_policy(inst, policy))
+            if refused:
+                continue
+            walk = prepared.sampler()
+            for j, rng in enumerate(trial_streams(40, 11, "traj")):
+                trial = refusal(lambda: walk.trial(rng))
+                traj, refused = refusal(lambda: walk.run(random.Random(derive_seed(11, "traj", j))))
+                want = None if refused else (traj.value, traj.value if traj.inner_value is None else traj.inner_value)
+                assert trial == (want, refused), (maker.__name__, policy, j)
+                if not refused:
+                    ran.add(policy)
+    assert ran == set(POLICIES)
+
+
 def test_unlabeled_policy_rejects_labeled_instance():
     inst = labeled_fuzz(0)
     with pytest.raises(PolicyError):

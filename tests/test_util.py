@@ -4,13 +4,16 @@ exact arithmetic they replace."""
 from __future__ import annotations
 
 import math
+import random
+from bisect import bisect_right
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bruteforce import weighted_index
-from pathprophet.util import cumulative, exact_threshold, pick
+from pathprophet.util import cumulative, derive_seed, exact_threshold, trial_streams
 
 unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=10**12)
 unit_floats = st.floats(min_value=0, max_value=1)
@@ -39,4 +42,16 @@ weights = st.lists(st.one_of(unit_fractions, unit_floats, st.just(0)), min_size=
 @given(weights, st.floats(min_value=0, max_value=1, exclude_max=True))
 @example([Fraction(1, 3), Fraction(1, 3), Fraction(1, 3), 0], 0.9999999999999999)
 def test_pick_matches_the_linear_scan(ws, u):
-    assert pick(cumulative(ws), u) == weighted_index(ws, u)
+    cum, picks = cumulative(ws)
+    assert picks[bisect_right(cum, u)] == weighted_index(ws, u)
+
+
+@pytest.mark.parametrize("parts", [("traj",), ("feas", 3), ("opt",)], ids=["traj", "feas", "opt"])
+def test_trial_streams_draw_what_a_fresh_generator_per_trial_draws(parts):
+    master = 2**40 + 7
+    streams = trial_streams(200, master, *parts)
+    for j, rng in enumerate(streams):
+        fresh = random.Random(derive_seed(master, *parts, j))
+        for k in (1, 2, 7):
+            assert (rng.random(), rng.randrange(k)) == (fresh.random(), fresh.randrange(k)), (parts, j, k)
+    assert j == 199
