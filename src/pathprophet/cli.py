@@ -7,6 +7,10 @@ and echoed so any run can be reproduced.  Exit codes: 0 ok, 2 bad
 arguments, 3 validation failure (or a value that overflows the float
 range), 4 size cap exceeded, 5 policy/cover errors.
 
+Each `_cmd_*` handler returns (exit code, JSON payload, text lines) and
+prints nothing; `main` prints the payload under --json and the lines
+otherwise, or one `error[...]` line on stderr when the handler raises.
+
 `main(argv)` may be called any number of times in one process: it
 builds its parser once, on first use, and each call parses into a
 fresh namespace.  `build_parser()` returns a new parser on every call.
@@ -47,8 +51,11 @@ def _emit_json(obj: Any) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True, default=float))
 
 
-def _fresh_seed() -> int:
-    return random.SystemRandom().randrange(2**32)
+def _seed(given: int | None) -> tuple[int, str]:
+    """`given` with no tag, or a fresh seed tagged for its echo as generated."""
+    if given is not None:
+        return given, ""
+    return random.SystemRandom().randrange(2**32), " (generated)"
 
 
 def _load_checked(path: str) -> Instance:
@@ -59,124 +66,83 @@ def _load_checked(path: str) -> Instance:
 
 # -- subcommand handlers ----------------------------------------------------
 
+# (exit code, JSON payload, text lines)
+Output = tuple[int, Any, list[str]]
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+
+def _cmd_validate(args: argparse.Namespace) -> Output:
     inst = load_instance(args.instance)
     report = validate_instance(inst)
-    if args.json:
-        _emit_json(
-            {
-                "ok": report.ok,
-                "violations": [
-                    {"code": v.code, "message": v.message, "where": v.where}
-                    for v in report.violations
-                ],
-                "warnings": list(report.warnings),
-                "nodes": len(inst.nodes),
-                "edges": len(inst.edges),
-                "labels": {k: v for k, v in sorted(inst.labels.items())},
-            }
-        )
+    payload = {
+        "ok": report.ok,
+        "violations": [
+            {"code": v.code, "message": v.message, "where": v.where}
+            for v in report.violations
+        ],
+        "warnings": list(report.warnings),
+        "nodes": len(inst.nodes),
+        "edges": len(inst.edges),
+        "labels": {k: v for k, v in sorted(inst.labels.items())},
+    }
+    if report.ok:
+        lines = [f"ok: {len(inst.nodes)} nodes, {len(inst.edges)} edges, {len(inst.labels)} labels"]
     else:
-        if report.ok:
-            print(
-                f"ok: {len(inst.nodes)} nodes, {len(inst.edges)} edges, "
-                f"{len(inst.labels)} labels"
-            )
-        else:
-            print("invalid:")
-            for v in report.violations:
-                where = f" at {v.where}" if v.where else ""
-                print(f"  [{v.code}] {v.message}{where}")
-        for w in report.warnings:
-            print(f"  warning: {w}")
-    return 0 if report.ok else 3
+        lines = ["invalid:"]
+        for v in report.violations:
+            where = f" at {v.where}" if v.where else ""
+            lines.append(f"  [{v.code}] {v.message}{where}")
+    lines += [f"  warning: {w}" for w in report.warnings]
+    return (0 if report.ok else 3), payload, lines
 
 
-def _cmd_width(args: argparse.Namespace) -> int:
+def _cmd_width(args: argparse.Namespace) -> Output:
+    cover = min_path_cover(_load_checked(args.instance), args.cover_seed)
+    return 0, {"width": cover.width}, [f"width: {cover.width}"]
+
+
+def _cmd_cover(args: argparse.Namespace) -> Output:
+    cover = min_path_cover(_load_checked(args.instance), args.cover_seed)
+    payload = {
+        "width": cover.width,
+        "paths": [list(p) for p in cover.paths],
+        "node_orders": [list(o) for o in cover.node_orders],
+    }
+    lines = [f"width: {cover.width}"]
+    for i, (path, order) in enumerate(zip(cover.paths, cover.node_orders)):
+        edges = ", ".join(str(e) for e in path)
+        lines.append(f"path {i}: {' -> '.join(order)}  (edges {edges})")
+    return 0, payload, lines
+
+
+def _cmd_opt(args: argparse.Namespace) -> Output:
+    oracle = Oracle(_load_checked(args.instance))
+    if not args.mc:
+        value = float(oracle.expected_opt())
+        return 0, {"expected_opt": value, "mode": "exact"}, [f"expected offline value: {value:.9g}"]
+    seed, tag = _seed(args.seed)
+    value = float(oracle.expected_opt_mc(args.trials, seed))
+    payload = {"expected_opt": value, "mode": "mc", "trials": args.trials, "seed": seed}
+    return 0, payload, [f"expected offline value (MC): {value:.9g}", f"trials: {args.trials}, seed: {seed}{tag}"]
+
+
+def _cmd_xprobs(args: argparse.Namespace) -> Output:
     inst = _load_checked(args.instance)
-    cover = min_path_cover(inst, args.cover_seed)
-    if args.json:
-        _emit_json({"width": cover.width})
-    else:
-        print(f"width: {cover.width}")
-    return 0
+    x = [float(v) for v in Oracle(inst).edge_probabilities()]
+    lines = []
+    for e in inst.edges:
+        lbl = f" [{','.join(sorted(e.labels))}]" if e.labels else ""
+        lines.append(f"edge {e.id:3d} {e.src} -> {e.dst}{lbl}: x = {x[e.id]:.9g}")
+    return 0, {"x": {str(i): v for i, v in enumerate(x)}}, lines
 
 
-def _cmd_cover(args: argparse.Namespace) -> int:
+def _cmd_online_opt(args: argparse.Namespace) -> Output:
+    value = float(Oracle(_load_checked(args.instance)).optimal_online_value())
+    return 0, {"online_opt": value}, [f"optimal online value: {value:.9g}"]
+
+
+def _cmd_simulate(args: argparse.Namespace) -> Output:
     inst = _load_checked(args.instance)
-    cover = min_path_cover(inst, args.cover_seed)
-    if args.json:
-        _emit_json(
-            {
-                "width": cover.width,
-                "paths": [list(p) for p in cover.paths],
-                "node_orders": [list(o) for o in cover.node_orders],
-            }
-        )
-    else:
-        print(f"width: {cover.width}")
-        for i, (path, order) in enumerate(zip(cover.paths, cover.node_orders)):
-            edges = ", ".join(str(e) for e in path)
-            print(f"path {i}: {' -> '.join(order)}  (edges {edges})")
-    return 0
-
-
-def _cmd_opt(args: argparse.Namespace) -> int:
-    inst = _load_checked(args.instance)
-    oracle = Oracle(inst)
-    if args.mc:
-        seed, generated = (args.seed, False) if args.seed is not None else (_fresh_seed(), True)
-        value = oracle.expected_opt_mc(args.trials, seed)
-        payload = {
-            "expected_opt": float(value),
-            "mode": "mc",
-            "trials": args.trials,
-            "seed": seed,
-        }
-        if args.json:
-            _emit_json(payload)
-        else:
-            print(f"expected offline value (MC): {float(value):.9g}")
-            tag = " (generated)" if generated else ""
-            print(f"trials: {args.trials}, seed: {seed}{tag}")
-    else:
-        value = oracle.expected_opt()
-        if args.json:
-            _emit_json({"expected_opt": float(value), "mode": "exact"})
-        else:
-            print(f"expected offline value: {float(value):.9g}")
-    return 0
-
-
-def _cmd_xprobs(args: argparse.Namespace) -> int:
-    inst = _load_checked(args.instance)
-    x = Oracle(inst).edge_probabilities()
-    if args.json:
-        _emit_json({"x": {str(i): float(v) for i, v in enumerate(x)}})
-    else:
-        for e in inst.edges:
-            lbl = f" [{','.join(sorted(e.labels))}]" if e.labels else ""
-            print(f"edge {e.id:3d} {e.src} -> {e.dst}{lbl}: x = {float(x[e.id]):.9g}")
-    return 0
-
-
-def _cmd_online_opt(args: argparse.Namespace) -> int:
-    inst = _load_checked(args.instance)
-    value = Oracle(inst).optimal_online_value()
-    if args.json:
-        _emit_json({"online_opt": float(value)})
-    else:
-        print(f"optimal online value: {float(value):.9g}")
-    return 0
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    inst = _load_checked(args.instance)
-    generated = False
-    seed = args.seed
-    if args.mc and seed is None:
-        seed, generated = _fresh_seed(), True
+    seed, tag = _seed(args.seed) if args.mc else (args.seed, "")
     report = competitive_report(
         inst,
         args.policy,
@@ -186,89 +152,73 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         cover=min_path_cover(inst, args.cover_seed),
         include_online=args.online,
     )
-    if args.json:
-        out = report.to_dict()
-        if generated:
-            out["seed_generated"] = True
-        _emit_json(out)
-    else:
-        print(f"policy: {report.policy}  (mode {report.mode})")
-        print(f"e_alg:  {report.e_alg:.9g}")
-        if report.mode == "mc":
-            tag = " (generated)" if generated else ""
-            print(f"        trials={report.trials} seed={report.seed}{tag} std_err={report.std_err:.3g}")
-            if report.realized_mean is not None and report.realized_mean != report.e_alg:
-                print(f"        realized mean incl. connectors: {report.realized_mean:.9g}")
-        print(f"e_opt:  {report.e_opt:.9g}")
-        if report.online_opt is not None:
-            print(f"online: {report.online_opt:.9g}")
-        if report.ratio is not None:
-            print(f"ratio:  {report.ratio:.9g}")
-        verdict = "holds" if report.bound_ok else "VIOLATED"
-        print(
-            f"bound:  {report.bound_label} = {report.bound:.9g} "
-            f"(k={report.width}, d={report.d}) -> {verdict}"
-        )
-    return 0 if report.bound_ok else 5
+    payload = report.to_dict()
+    if tag:
+        payload["seed_generated"] = True
+    lines = [f"policy: {report.policy}  (mode {report.mode})", f"e_alg:  {report.e_alg:.9g}"]
+    if report.mode == "mc":
+        lines.append(f"        trials={report.trials} seed={report.seed}{tag} std_err={report.std_err:.3g}")
+        if report.realized_mean is not None and report.realized_mean != report.e_alg:
+            lines.append(f"        realized mean incl. connectors: {report.realized_mean:.9g}")
+    lines.append(f"e_opt:  {report.e_opt:.9g}")
+    if report.online_opt is not None:
+        lines.append(f"online: {report.online_opt:.9g}")
+    if report.ratio is not None:
+        lines.append(f"ratio:  {report.ratio:.9g}")
+    verdict = "holds" if report.bound_ok else "VIOLATED"
+    lines.append(f"bound:  {report.bound_label} = {report.bound:.9g} (k={report.width}, d={report.d}) -> {verdict}")
+    return (0 if report.bound_ok else 5), payload, lines
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
+def _cmd_trace(args: argparse.Namespace) -> Output:
     inst = _load_checked(args.instance)
-    seed, generated = (args.seed, False) if args.seed is not None else (_fresh_seed(), True)
+    seed, tag = _seed(args.seed)
     walk = prepare_policy(inst, args.policy, min_path_cover(inst, args.cover_seed)).sampler()
     traj = walk.run(random.Random(derive_seed(seed, "traj", 0)))
-    if args.json:
-        _emit_json(
+    value = float(traj.value)
+    payload = {
+        "seed": seed,
+        "policy": args.policy,
+        "value": value,
+        "edges": list(traj.edges),
+        "sub_index": traj.sub_index,
+        "steps": [
             {
-                "seed": seed,
-                "policy": args.policy,
-                "value": float(traj.value),
-                "edges": list(traj.edges),
-                "sub_index": traj.sub_index,
-                "steps": [
-                    {
-                        "node": s.node,
-                        "outcome": s.outcome,
-                        "tentative": s.tentative,
-                        "feasible": s.feasible,
-                        "coin": s.coin,
-                        "taken": s.taken,
-                    }
-                    for s in traj.steps
-                ],
+                "node": s.node,
+                "outcome": s.outcome,
+                "tentative": s.tentative,
+                "feasible": s.feasible,
+                "coin": s.coin,
+                "taken": s.taken,
             }
-        )
-    else:
-        tag = " (generated)" if generated else ""
-        print(f"policy: {args.policy}, seed: {seed}{tag}")
-        if traj.sub_index is not None:
-            print(f"cover path used: {traj.sub_index}")
-        print("node        outcome  tentative  feasible  coin      taken")
-        for s in traj.steps:
-            tent = "-" if s.tentative is None else str(s.tentative)
-            feas = "-" if s.feasible is None else ("yes" if s.feasible else "no")
-            coin = "-" if s.coin is None else f"{s.coin:.6f}"
-            print(f"{s.node:<11} {s.outcome:<8} {tent:<10} {feas:<9} {coin:<9} {s.taken}")
-        names = []
-        for eid in traj.edges:
-            e = inst.edges[eid]
-            names.append(f"{eid}:{e.src}->{e.dst}")
-        print("edges walked: " + ", ".join(names))
-        print(f"value: {float(traj.value):.9g}")
-    return 0
+            for s in traj.steps
+        ],
+    }
+    lines = [f"policy: {args.policy}, seed: {seed}{tag}"]
+    if traj.sub_index is not None:
+        lines.append(f"cover path used: {traj.sub_index}")
+    lines.append("node        outcome  tentative  feasible  coin      taken")
+    for s in traj.steps:
+        tent = "-" if s.tentative is None else str(s.tentative)
+        feas = "-" if s.feasible is None else ("yes" if s.feasible else "no")
+        coin = "-" if s.coin is None else f"{s.coin:.6f}"
+        lines.append(f"{s.node:<11} {s.outcome:<8} {tent:<10} {feas:<9} {coin:<9} {s.taken}")
+    names = [f"{eid}:{inst.edges[eid].src}->{inst.edges[eid].dst}" for eid in traj.edges]
+    lines += ["edges walked: " + ", ".join(names), f"value: {value:.9g}"]
+    return 0, payload, lines
 
 
 # the flags `gen random` takes, as `generate_random_instance` names them
 _RANDOM_PARAMS = {"seed": "seed", "shape": "shape", "nodes": "n_nodes", "outcomes": "max_outcomes", "d": "d"}
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _cmd_gen(args: argparse.Namespace) -> Output:
     # every family parameter given; the family's own check refuses the extras
     skip = ("command", "func", "family", "out", "json")
     params = {k: v for k, v in vars(args).items() if v is not None and k not in skip}
     if "terms" in params:
         params["terms"] = [int(x) for x in params["terms"].split(",")]
-    generated = False
+    tag = ""
     if args.family == "random":
         unknown = sorted(set(params) - set(_RANDOM_PARAMS))
         if unknown:
@@ -276,28 +226,17 @@ def _cmd_gen(args: argparse.Namespace) -> int:
                 f"family 'random' does not take {', '.join(map(repr, unknown))}; "
                 f"it accepts: {', '.join(_RANDOM_PARAMS)}"
             )
-        if "seed" not in params:
-            params["seed"], generated = _fresh_seed(), True
+        params["seed"], tag = _seed(args.seed)
         inst = generate_random_instance(**{_RANDOM_PARAMS[key]: value for key, value in params.items()})
     else:
         inst = generate_paper_instance(args.family, **params)
     save_instance(inst, args.out)
-    payload = {
-        "path": args.out,
-        "family": args.family,
-        "nodes": len(inst.nodes),
-        "edges": len(inst.edges),
-    }
-    if generated:
-        payload["seed"] = inst.meta.get("seed") if inst.meta else None
-        payload["seed_generated"] = True
-    if args.json:
-        _emit_json(payload)
-    else:
-        print(f"wrote {args.out}: family={args.family}, {len(inst.nodes)} nodes, {len(inst.edges)} edges")
-        if generated:
-            print(f"seed: {payload['seed']} (generated)")
-    return 0
+    payload = {"path": args.out, "family": args.family, "nodes": len(inst.nodes), "edges": len(inst.edges)}
+    lines = [f"wrote {args.out}: family={args.family}, {len(inst.nodes)} nodes, {len(inst.edges)} edges"]
+    if tag:
+        payload.update(seed=params["seed"], seed_generated=True)
+        lines.append(f"seed: {params['seed']}{tag}")
+    return 0, payload, lines
 
 
 # -- parser -------------------------------------------------------------------
@@ -404,7 +343,12 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, payload, lines = args.func(args)
+        if args.json:
+            _emit_json(payload)
+        else:
+            print("\n".join(lines))
+        return code
     except InvalidInstanceError as exc:
         print(f"error[validation]: {exc}", file=sys.stderr)
         return 3

@@ -458,6 +458,33 @@ def test_gen_refuses_a_parameter_the_family_does_not_take(tmp_path, capsys, argv
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["overtime", "--horizon", "0"],
+        ["markets", "--periods", "1"],
+        ["kplus1", "--k", "0"],
+        ["mchoice", "--n", "0"],
+        ["vertex-matching", "--bidders", "0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_gen_refuses_a_family_parameter_out_of_range(tmp_path, capsys, argv):
+    out_path = tmp_path / "x.json"
+    code, out, err = run(capsys, ["gen", *argv, "-o", str(out_path)])
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error[validation]:")
+    assert not out_path.exists()
+
+
+def test_gen_random_echoes_generated_seed_in_text(tmp_path, capsys):
+    out_path = tmp_path / "r.json"
+    code, out, _ = run(capsys, ["gen", "random", "-o", str(out_path)])
+    assert code == 0
+    assert out.endswith(f"\nseed: {load_instance(str(out_path)).meta['seed']} (generated)\n")
+
+
 def test_cover_seed_picks_the_cover_that_simulate_and_trace_run_on(tmp_path, capsys):
     path = write(tmp_path, dag_fuzz(7))
     inst = load_instance(path)
@@ -660,3 +687,45 @@ def test_cli_output_bytes_match_the_golden_digests(tmp_path):
     assert len(got) == len(GOLDEN_CLI_OUTPUTS)
     changed = [key for key, value in got.items() if GOLDEN_CLI_OUTPUTS.get(key) != value]
     assert changed == []
+
+
+def stdout_digest(argv):
+    """(exit code, SHA-256 of stdout) of `argv`."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+# computed at commit d7d6f74: command lines the goldens above leave out, as they are and with --json
+MORE_GOLDEN_CLI_OUTPUTS = {
+    'broken_instance() validate': (3, 'd97bcef181f3027aed81a0d9d90d74c4aded3d5fcbef68f27b707fde7a2cf046'),
+    'broken_instance() validate --json': (3, 'bc3c24f0a298a86c7d615f94967b83d2cd6f593497db13dcf7c1581496cbe0eb'),
+    'two_candidate() opt --mc --trials 200 --seed 7': (0, '7165da5be2fbd0a7ac10d1188cdd6451f67c6ea5bbd88a5d8256149300628dc2'),
+    'two_candidate() opt --mc --trials 200 --seed 7 --json': (0, 'f67a2e9e8d132a400a576945b7b93f906e90b9873b4e7bccb521a5f2b259b931'),
+    'two_candidate() simulate --policy width1 --online': (0, 'd781c61188cd5a277d8b41709d1c598fe2f01c0af013dd2a19e78d0dabfa9288'),
+    'two_candidate() simulate --policy width1 --online --json': (0, '180eefa7e3ea6cb49898ebf575efa70c139a278b4594a0f9dbc59c0559d20532'),
+    'dag_fuzz(7) opt --mc --trials 200 --seed 7': (0, '97b1ac7c228c6b0e6cd84b2f84cf8b4ec4e4c928af182bd7f4fc6be87491cd02'),
+    'dag_fuzz(7) opt --mc --trials 200 --seed 7 --json': (0, 'd40ced679b8aa8e8e398e21b6e494a20cdb29d5b68f7c979502b10013bd4a4db'),
+    'dag_fuzz(7) simulate --policy general --online': (0, '3722212acca7a7e4ae5a18de9d9fe50d3093cf454b697a4462289858873a3687'),
+    'dag_fuzz(7) simulate --policy general --online --json': (0, 'c3942578f5b9553bc921e54c04ecf23e5b26369dd8c0c15aae7581232d1ecad1'),
+    'two_candidate() validate, cap 1': (0, '329502be16033fb58eb9fda641fa02f44d3cdcc25bc53bb713f364408fd11628'),
+    'two_candidate() validate, cap 1 --json': (0, '2f5f3b522133fefacccf9f32f8aa60d5759fae08aa5dbe646cf7b146bfdac479'),
+}
+
+
+def test_more_cli_output_bytes_match_their_digests(tmp_path, monkeypatch):
+    runs = {"broken_instance() validate": ["validate", write(tmp_path, broken_instance(), "broken.json")]}
+    for name, (make, policy) in GOLDEN_INSTANCES.items():
+        path = write(tmp_path, make(), f"{policy}.json")
+        for command in (["opt", "--mc", "--trials", "200", "--seed", "7"], ["simulate", "--policy", policy, "--online"]):
+            runs[" ".join([name, *command])] = [command[0], path, *command[1:]]
+    # the last run validates under a cap of 1, which adds the enumeration-cap warning
+    runs["two_candidate() validate, cap 1"] = ["validate", write(tmp_path, two_candidate(), "two.json")]
+    got = {}
+    for key, argv in runs.items():
+        if key.endswith("cap 1"):
+            monkeypatch.setenv("PATHPROPHET_ENUM_CAP", "1")
+        for extra in ([], ["--json"]):
+            got[" ".join([key, *extra])] = stdout_digest(argv + extra)
+    assert got == MORE_GOLDEN_CLI_OUTPUTS

@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathprophet import (
+    EdgeDef,
     EnumerationCapError,
     Instance,
     InvalidInstanceError,
+    Outcome,
     active_label_caps,
     enumerate_realizations,
     generate_paper_instance,
@@ -136,6 +138,32 @@ def test_validate_flags_boolean_capacity():
         outcomes={"s": [(1.0, {0: 0.0, 1: 1.0})]},
     )
     assert "bad-capacity" in codes(inst)
+
+
+ONE_HOP = {"s": [(1.0, {0: 1.0})]}
+# one instance per check `validate_instance` makes that no other test reaches; "warning" is the enumeration-cap warning
+SEEN_BY_VALIDATION = {
+    "too-few-nodes": lambda: Instance.build(["s"], []),
+    "edge-id": lambda: Instance(("s", "t"), (EdgeDef(1, "s", "t"),), {}, ((Outcome(1.0, {1: 1.0}),), ())),
+    "self-loop": lambda: Instance.build(["s", "t"], [("s", "s", ()), ("s", "t", ())], outcomes=ONE_HOP),
+    "no-path-to-sink": lambda: Instance.build(["s", "a", "t"], [("s", "t", ()), ("s", "a", ())], outcomes=ONE_HOP),
+    "value-key-mismatch": lambda: Instance.build(
+        ["s", "a", "t"], [("s", "t", ()), ("s", "a", ())], outcomes={**ONE_HOP, "a": [(1.0, {})]}
+    ),
+    "negative-mass": lambda: Instance.build(["s", "t"], [("s", "t", ())], outcomes={"s": [(-0.5, {0: 1.0}), (1.5, {0: 1.0})]}),
+    "negative-value": lambda: Instance.build(["s", "t"], [("s", "t", ())], outcomes={"s": [(1.0, {0: -1.0})]}),
+    "warning": diamond,
+}
+
+
+@pytest.mark.parametrize("code", sorted(SEEN_BY_VALIDATION))
+def test_validate_reports_each_check(monkeypatch, code):
+    monkeypatch.setenv("PATHPROPHET_ENUM_CAP", "1")
+    report = validate_instance(SEEN_BY_VALIDATION[code]())
+    if code == "warning":
+        assert report.ok and len(report.warnings) == 1 and "exceed the enumeration cap" in report.warnings[0]
+    else:
+        assert code in {v.code for v in report.violations}
 
 
 def test_raise_if_invalid():
