@@ -107,19 +107,30 @@ def _hopcroft_karp(n: int, adj: list[list[int]]) -> tuple[list[int], list[int]]:
         if not reachable_free:
             return match_l, match_r
 
-        def try_augment(u: int) -> bool:
-            for v in adj[u]:
-                w = match_r[v]
-                if w == -1 or (dist[w] == dist[u] + 1 and try_augment(w)):
-                    match_l[u] = v
-                    match_r[v] = u
-                    return True
-            dist[u] = INF
-            return False
-
-        for u in range(n):
-            if match_l[u] == -1 and adj[u]:
-                try_augment(u)
+        for root in range(n):
+            if match_l[root] != -1 or not adj[root]:
+                continue
+            # depth-first search for an augmenting path; each stack entry is a
+            # left node on the path and the index into its adj row it tries
+            stack = [[root, 0]]
+            while stack:
+                u, i = stack[-1]
+                if i == len(adj[u]):  # dead end
+                    dist[u] = INF
+                    stack.pop()
+                    if stack:
+                        stack[-1][1] += 1
+                    continue
+                w = match_r[adj[u][i]]
+                if w == -1:  # a free right node: flip the path
+                    for u, i in stack:
+                        match_l[u] = adj[u][i]
+                        match_r[adj[u][i]] = u
+                    break
+                if dist[w] == dist[u] + 1:
+                    stack.append([w, 0])
+                else:
+                    stack[-1][1] += 1
 
 
 def min_path_cover(inst: Instance, seed: int | None = None) -> PathCover:

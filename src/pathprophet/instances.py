@@ -604,8 +604,6 @@ def generate_random_instance(
                     add(rng.choice(layers[li - 1]), u)
                 if u not in have_out:
                     add(u, rng.choice(layers[li + 1]))
-        if "t" not in have_in:
-            add(rng.choice(layers[-2]), "t")
         edges.sort(key=lambda e: (nodes.index(e[0]), nodes.index(e[1])))
         edges, labels = _sprinkle_labels(edges, rng, d)
     else:

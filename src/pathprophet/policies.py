@@ -23,8 +23,10 @@ per-edge acceptance table; the labeled coin lives in
 * one sampler, `FocalWalker`, that walks one trajectory with an
   explicit `random.Random`.  Only `PreparedPolicy.sampler` (a
   `PolicyWalk`, once per Monte Carlo estimate, never in exact mode) and
-  the staged Monte Carlo mode of `feasibility_probabilities` build one;
-  the `run_*` functions walk a policy from the registry's prepare code.
+  the staged Monte Carlo mode of `feasibility_probabilities` build one.
+  Each `run_*` helper walks one trajectory as `prepare_policy(inst, name,
+  cover).sampler().run(rng, choices)`, preparing once per call, so a loop
+  builds one sampler and runs it instead.
 * an exact engine (`evaluate_focal_policy`) that pushes the full
   distribution of the walker's (position, label state) pair forward
   along the focal path, folding outcome tables and acceptance coins
@@ -366,7 +368,6 @@ def feasibility_probabilities(
     mode: str = "exact",
     *,
     oracle: Oracle | None = None,
-    spec: OfflineSpec = OPT,
     trials: int = 4000,
     seed: int | None = None,
 ) -> FeasibilityProbs:
@@ -381,15 +382,14 @@ def feasibility_probabilities(
     oracle = Oracle(inst) if oracle is None else oracle
     divisor = inst.max_labels_per_edge + 2
     if mode == "exact":
-        stats = evaluate_focal_policy(inst, focal, oracle, spec)
-        if spec.allowed is None:
-            floor = 1 / divisor
-            for eid, pe in stats.feasibility.items():
-                if pe < floor - 1e-9:
-                    raise PolicyError(
-                        f"exact p({eid})={float(pe):.12g} fell below 1/(d+2); "
-                        "the offline probabilities are inconsistent"
-                    )
+        stats = evaluate_focal_policy(inst, focal, oracle)
+        floor = 1 / divisor
+        for eid, pe in stats.feasibility.items():
+            if pe < floor - 1e-9:
+                raise PolicyError(
+                    f"exact p({eid})={float(pe):.12g} fell below 1/(d+2); "
+                    "the offline probabilities are inconsistent"
+                )
         return FeasibilityProbs(dict(stats.feasibility), "exact", divisor, _value=stats.value)
     if mode != "mc":
         raise ValueError(f"unknown feasibility mode {mode!r}")
@@ -398,7 +398,7 @@ def feasibility_probabilities(
     if seed is None:
         raise PolicyError("Monte Carlo feasibility needs an explicit seed")
 
-    walker = FocalWalker(inst, focal, oracle, spec, None)  # staged rule
+    walker = FocalWalker(inst, focal, oracle, OPT, None)  # staged rule
     est: dict[int, float] = {}
     for i, stop in enumerate(walker.stops):
         tents = stop.out
@@ -643,16 +643,9 @@ class PreparedPolicy:
         return PolicyWalk(self.inst, walkers, self.contracted, self.sub_index)
 
 
-def _covering_focal(
-    inst: Instance, focal: Sequence[int] | None, cover: PathCover | None = None
-) -> tuple[int, ...]:
-    """The path a width-1 policy walks: `focal`, checked to visit every
-    node, or else the single path of `cover` (default: the unseeded minimum cover)."""
-    if focal is not None:
-        focal = tuple(focal)
-        if set(path_nodes(inst, focal)) != set(inst.nodes):
-            raise PolicyError("focal path must visit every node")
-        return focal
+def _covering_focal(inst: Instance, cover: PathCover | None) -> tuple[int, ...]:
+    """The path a width-1 policy walks: the single path of `cover`
+    (default: the unseeded minimum cover)."""
     cover = min_path_cover(inst) if cover is None else cover
     if cover.width != 1:
         raise PolicyError(
@@ -674,83 +667,18 @@ def _alpha_policy(
         raise PolicyError("unlabeled policy cannot run on a labeled instance")
     if schedule is None:
         schedule = alpha_schedule(inst, focal, oracle.edge_probabilities(spec), 0)
-    elif schedule.focal != tuple(focal):
-        raise ScheduleError("schedule was built for a different focal path")
     run = FocalRun(inst, schedule.focal, oracle, spec, schedule)
     return PreparedPolicy(inst, oracle, (run,), 1, 0.5, "1/2", {"focal": list(run.focal)})
 
 
-def _labeled_policy(
-    inst: Instance,
-    focal: Sequence[int],
-    oracle: Oracle,
-    spec: OfflineSpec = OPT,
-    probs: FeasibilityProbs | None = None,
-) -> PreparedPolicy:
+def _labeled_policy(inst: Instance, focal: Sequence[int], oracle: Oracle) -> PreparedPolicy:
     """The width1-labeled policy: the labeled rule on `focal`.  Path-edge
     tentatives use no capacity, so it refuses a labeled focal edge."""
     if any(inst.edges[eid].labels for eid in focal):
         raise PolicyError("focal path must consist of unlabeled edges")
-    if probs is None:
-        probs = feasibility_probabilities(inst, focal, oracle=oracle, spec=spec)
-    run = FocalRun(inst, tuple(focal), oracle, spec, probs)
+    run = FocalRun(inst, tuple(focal), oracle, OPT, feasibility_probabilities(inst, focal, oracle=oracle))
     bound = 1 / (inst.max_labels_per_edge + 2)
     return PreparedPolicy(inst, oracle, (run,), 1, bound, "1/(d+2)", {"focal": list(run.focal)})
-
-
-def run_modified_width1(
-    inst: Instance,
-    focal: Sequence[int],
-    schedule: AlphaSchedule,
-    spec: OfflineSpec = OPT,
-    rng: random.Random | None = None,
-    *,
-    oracle: Oracle | None = None,
-    choices: Sequence[int] | None = None,
-) -> Trajectory:
-    """Walk the focal path once, accepting bypass tentatives with the
-    schedule's alpha.  Core of both width-1 unlabeled variants; with a
-    q=0 schedule this is the plain one, with q>0 the strand-restricted
-    one."""
-    oracle = Oracle(inst) if oracle is None else oracle
-    return _alpha_policy(inst, focal, oracle, spec, schedule).sampler().run(rng, choices)
-
-
-def run_width1_unlabeled(
-    inst: Instance,
-    focal: Sequence[int] | None = None,
-    schedule: AlphaSchedule | None = None,
-    spec: OfflineSpec | None = None,
-    rng: random.Random | None = None,
-    *,
-    oracle: Oracle | None = None,
-    choices: Sequence[int] | None = None,
-) -> Trajectory:
-    """Width-1 policy for unlabeled graphs: guarantees half the prophet."""
-    oracle = Oracle(inst) if oracle is None else oracle
-    prepared = _alpha_policy(inst, _covering_focal(inst, focal), oracle, spec or OPT, schedule)
-    return prepared.sampler().run(rng, choices)
-
-
-def run_width1_labeled(
-    inst: Instance,
-    focal: Sequence[int] | None = None,
-    probs: FeasibilityProbs | None = None,
-    rng: random.Random | None = None,
-    *,
-    oracle: Oracle | None = None,
-    spec: OfflineSpec | None = None,
-    choices: Sequence[int] | None = None,
-) -> Trajectory:
-    """Width-1 policy for label-capacitated graphs.
-
-    Tentative edge e is accepted with the labeled coin of p(e) and d+2,
-    for d = most labels on any edge.  The focal path itself must be
-    unlabeled and visit every node.
-    """
-    oracle = Oracle(inst) if oracle is None else oracle
-    prepared = _labeled_policy(inst, _covering_focal(inst, focal), oracle, spec or OPT, probs)
-    return prepared.sampler().run(rng, choices)
 
 
 # ---------------------------------------------------------------------------
@@ -852,22 +780,6 @@ def prepare_general_cover(inst: Instance, cover: PathCover | None = None) -> Pre
     bound = 1 / (cover.width * (inst.max_labels_per_edge + 2))
     params = {"cover": [list(p) for p in cover.paths]}
     return PreparedPolicy(inst, Oracle(inst), runs, cover.width, bound, "1/(k(d+2))", params, contracted)
-
-
-def run_general_cover_policy(
-    inst: Instance,
-    cover: PathCover | None = None,
-    rng: random.Random | None = None,
-    *,
-    prepared: PreparedPolicy | None = None,
-    choices: Sequence[int] | None = None,
-) -> Trajectory:
-    """Pick one cover path uniformly, run the labeled width-1 policy on
-    its contraction, and replay the walk on the real graph, expanding
-    artificial edges with their stored connectors."""
-    if prepared is None:
-        prepared = prepare_general_cover(inst, cover)
-    return prepared.sampler().run(rng, choices)
 
 
 # ---------------------------------------------------------------------------
@@ -989,24 +901,6 @@ def _disjoint_policy(inst: Instance, plan: DisjointPlan, oracle: Oracle) -> Prep
     return replace(strand, width=k, bound=1 / (k + 1), bound_label="1/(k+1)", params=params, sub_index=i)
 
 
-def run_disjoint_paths_policy(
-    inst: Instance,
-    cover: PathCover | None = None,
-    plan: DisjointPlan | None = None,
-    rng: random.Random | None = None,
-    *,
-    oracle: Oracle | None = None,
-    choices: Sequence[int] | None = None,
-) -> Trajectory:
-    """Strand policy for unlabeled graphs covered by internally
-    disjoint paths: restrict the baseline to the best strand and walk
-    it with the modified width-1 rule (divisor 2 - q)."""
-    oracle = Oracle(inst) if oracle is None else oracle
-    if plan is None:
-        plan = build_disjoint_plan(inst, cover, oracle=oracle)
-    return _disjoint_policy(inst, plan, oracle).sampler().run(rng, choices)
-
-
 # ---------------------------------------------------------------------------
 # the policy registry
 
@@ -1015,11 +909,11 @@ def run_disjoint_paths_policy(
 
 
 def _width1(inst: Instance, cover: PathCover | None) -> PreparedPolicy:
-    return _alpha_policy(inst, _covering_focal(inst, None, cover), Oracle(inst))
+    return _alpha_policy(inst, _covering_focal(inst, cover), Oracle(inst))
 
 
 def _width1_labeled(inst: Instance, cover: PathCover | None) -> PreparedPolicy:
-    return _labeled_policy(inst, _covering_focal(inst, None, cover), Oracle(inst))
+    return _labeled_policy(inst, _covering_focal(inst, cover), Oracle(inst))
 
 
 def _general(inst: Instance, cover: PathCover | None) -> PreparedPolicy:
@@ -1049,3 +943,35 @@ def prepare_policy(inst: Instance, policy: str, cover: PathCover | None = None) 
     if prepare is None:
         raise ValueError(f"unknown policy {policy!r}; known: {', '.join(POLICIES)}")
     return prepare(inst, cover)
+
+
+def run_width1_unlabeled(
+    inst: Instance, rng: random.Random, cover: PathCover | None = None, *, choices: Sequence[int] | None = None
+) -> Trajectory:
+    """Width-1 policy for unlabeled graphs: guarantees half the prophet."""
+    return prepare_policy(inst, "width1", cover).sampler().run(rng, choices)
+
+
+# the alpha rule with q = 0 is the width-1 walk itself
+run_modified_width1 = run_width1_unlabeled
+
+
+def run_width1_labeled(
+    inst: Instance, rng: random.Random, cover: PathCover | None = None, *, choices: Sequence[int] | None = None
+) -> Trajectory:
+    """Width-1 policy for label-capacitated graphs: guarantees 1/(d+2)."""
+    return prepare_policy(inst, "width1-labeled", cover).sampler().run(rng, choices)
+
+
+def run_general_cover_policy(
+    inst: Instance, rng: random.Random, cover: PathCover | None = None, *, choices: Sequence[int] | None = None
+) -> Trajectory:
+    """General-cover policy: guarantees 1/(k(d+2)) of the prophet."""
+    return prepare_policy(inst, "general", cover).sampler().run(rng, choices)
+
+
+def run_disjoint_paths_policy(
+    inst: Instance, rng: random.Random, cover: PathCover | None = None, *, choices: Sequence[int] | None = None
+) -> Trajectory:
+    """Internally disjoint strands: guarantees 1/(k+1) of the prophet."""
+    return prepare_policy(inst, "disjoint", cover).sampler().run(rng, choices)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from pathprophet import (
     CoverError,
+    Instance,
     Oracle,
     PolicyError,
     evaluate_focal_policy,
@@ -115,6 +117,36 @@ def test_cover_and_focal_paths_refuse_ids_that_are_not_edges(path, bad):
         path_nodes(inst, path)
     with pytest.raises(PolicyError, match=named):
         evaluate_focal_policy(inst, path, Oracle(inst))
+
+
+@pytest.mark.parametrize(
+    "path, message",
+    [([1, 2, 3], "edge 1 does not continue the path at 'v0'"), ([0, 1], "path must run from source to sink")],
+    ids=["broken-chain", "stops-short"],
+)
+def test_cover_and_focal_paths_refuse_paths_that_do_not_chain(path, message):
+    inst = width1_fuzz(1)  # 7 edges; 0, 1, 2, 3 is its covering path
+    with pytest.raises(CoverError, match=f"cover {message}"):
+        cover_from_paths(inst, [path])
+    with pytest.raises(PolicyError, match=f"focal {message}"):
+        evaluate_focal_policy(inst, path, Oracle(inst))
+
+
+def test_min_path_cover_of_a_long_chain_needs_no_deep_recursion():
+    n = 400
+    names = [f"v{i}" for i in range(n)]
+    inst = Instance.build(
+        names,
+        [(a, b, ()) for a, b in zip(names, names[1:])],
+        outcomes={v: [(1.0, {i: 1.0})] for i, v in enumerate(names[:-1])},
+    )
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        cover = min_path_cover(inst, 1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert cover.width == 1
 
 
 def test_shortest_unlabeled_path_is_shortest():

@@ -198,6 +198,38 @@ def test_from_dict_rejects_garbage(tmp_path):
         load_instance(str(bad))
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([], "an instance document must be a JSON object"),
+        (
+            {"nodes": ["s", "t"], "edges": [], "outcomes": {"s": {"p": 1}}},
+            "outcomes of node 's' must be a list of rows",
+        ),
+    ],
+    ids=["not-an-object", "rows-not-a-list"],
+)
+def test_from_dict_refuses_a_document_of_the_wrong_shape(doc, message):
+    with pytest.raises(InvalidInstanceError, match=message):
+        instance_from_dict(doc)
+
+
+def test_build_refuses_outcomes_for_an_unknown_node():
+    with pytest.raises(InvalidInstanceError, match="outcomes given for unknown node 'x'"):
+        Instance.build(["s", "t"], [("s", "t", ())], outcomes={"x": [(1.0, {0: 1.0})]})
+
+
+def test_validate_on_a_document_that_is_not_an_object_is_one_error_line(tmp_path, capsys):
+    from pathprophet.cli import main
+
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    assert main(["validate", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error[validation]: an instance document must be a JSON object"]
+
+
 def test_enumerate_realizations_matches_product():
     inst = diamond()
     ours = enumerate_realizations(inst)

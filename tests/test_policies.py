@@ -28,13 +28,12 @@ from pathprophet import (
     monte_carlo_estimate,
     prepare_general_cover,
     prepare_policy,
-    run_disjoint_paths_policy,
-    run_general_cover_policy,
     run_width1_labeled,
     run_width1_unlabeled,
     sample_realization,
     validate_instance,
 )
+from pathprophet import policies
 from pathprophet.cover import PathCover
 from pathprophet.policies import run_modified_width1
 
@@ -208,11 +207,8 @@ def test_feasibility_probabilities_floor_and_mc():
 
 def test_sampler_walks_are_valid_and_deterministic():
     inst = width1_fuzz(9)
-    orc = Oracle(inst)
-    focal = focal_of(inst)
-    sched = alpha_schedule(inst, focal, orc.edge_probabilities(), 0)
-    a = run_width1_unlabeled(inst, focal, sched, rng=random.Random(42), oracle=orc)
-    b = run_width1_unlabeled(inst, focal, sched, rng=random.Random(42), oracle=orc)
+    a = run_width1_unlabeled(inst, random.Random(42))
+    b = run_width1_unlabeled(inst, random.Random(42))
     assert a == b
     at = inst.source
     for eid in a.edges:
@@ -224,13 +220,9 @@ def test_sampler_walks_are_valid_and_deterministic():
 
 def test_labeled_sampler_respects_caps():
     inst = labeled_fuzz(4)
-    orc = Oracle(inst)
-    focal = focal_of(inst)
-    probs = feasibility_probabilities(inst, focal, oracle=orc)
+    walk = prepare_policy(inst, "width1-labeled").sampler()
     for t in range(300):
-        traj = run_width1_labeled(
-            inst, focal, probs=probs, rng=random.Random(t), oracle=orc
-        )
+        traj = walk.run(random.Random(t))
         usage = {}
         for eid in traj.edges:
             for lbl in inst.edges[eid].labels:
@@ -241,11 +233,8 @@ def test_labeled_sampler_respects_caps():
 
 def test_sampler_value_matches_supplied_realization():
     inst = width1_fuzz(13)
-    orc = Oracle(inst)
-    focal = focal_of(inst)
-    sched = alpha_schedule(inst, focal, orc.edge_probabilities(), 0)
     choices, values, _ = next(iter_realizations(inst))
-    traj = run_modified_width1(inst, focal, sched, rng=random.Random(1), oracle=orc, choices=choices)
+    traj = run_modified_width1(inst, random.Random(1), choices=choices)
     assert abs(traj.value - sum(values[eid] for eid in traj.edges)) < 1e-12
 
 
@@ -291,6 +280,32 @@ def test_a_monte_carlo_trial_is_the_recorded_walk_unrecorded(twin):
     assert ran == set(POLICIES)
 
 
+HELPERS = {
+    "run_width1_unlabeled": "width1",
+    "run_modified_width1": "width1",
+    "run_width1_labeled": "width1-labeled",
+    "run_general_cover_policy": "general",
+    "run_disjoint_paths_policy": "disjoint",
+}
+
+
+@pytest.mark.parametrize("twin", [False, True], ids=["fraction", "float"])
+def test_each_run_helper_is_one_registry_walk(twin):
+    ran = set()
+    for maker in (width1_fuzz, labeled_fuzz, dag_fuzz, strands_fuzz):
+        inst = json_twin(maker(3)) if twin else maker(3)
+        for name, policy in HELPERS.items():
+            helper = getattr(policies, name)
+            for s in range(3):
+                c = sample_realization(inst, random.Random(100 + s))
+                got = refusal(lambda: helper(inst, random.Random(s), choices=c))
+                want = refusal(lambda: prepare_policy(inst, policy).sampler().run(random.Random(s), c))
+                assert got == want, (maker.__name__, name, s)
+                if got[1] is None:
+                    ran.add(name)
+    assert ran == set(HELPERS)
+
+
 def test_unlabeled_policy_rejects_labeled_instance():
     inst = labeled_fuzz(0)
     with pytest.raises(PolicyError):
@@ -309,10 +324,8 @@ def test_sampler_mean_matches_engine_value():
     sched = alpha_schedule(inst, focal, orc.edge_probabilities(), 0)
     exact = evaluate_focal_policy(inst, focal, orc, schedule=sched).value
     trials = 4000
-    vals = [
-        run_width1_unlabeled(inst, focal, sched, rng=random.Random(t), oracle=orc).value
-        for t in range(trials)
-    ]
+    walk = prepare_policy(inst, "width1").sampler()
+    vals = [walk.run(random.Random(t)).value for t in range(trials)]
     mean = sum(vals) / trials
     var = sum((v - mean) ** 2 for v in vals) / (trials - 1)
     assert abs(mean - exact) <= 4 * (var / trials) ** 0.5 + 1e-9
@@ -348,8 +361,9 @@ def test_general_policy_guarantee_and_certified_value():
 def test_general_replay_produces_real_walks():
     inst = dag_fuzz(17)
     prepared = prepare_general_cover(inst)
+    walk = prepared.sampler()
     for t in range(200):
-        traj = run_general_cover_policy(inst, rng=random.Random(t), prepared=prepared)
+        traj = walk.run(random.Random(t))
         at = inst.source
         for eid in traj.edges:
             e = inst.edges[eid]
@@ -392,8 +406,9 @@ def test_disjoint_guarantee_and_runner_stays_in_strand():
     orc = Oracle(inst)
     plan = build_disjoint_plan(inst, oracle=orc)
     allowed = plan.edge_sets[plan.i_star]
+    walk = prepare_policy(inst, "disjoint").sampler()
     for t in range(100):
-        traj = run_disjoint_paths_policy(inst, plan=plan, rng=random.Random(t), oracle=orc)
+        traj = walk.run(random.Random(t))
         assert set(traj.edges) <= allowed
         assert traj.sub_index == plan.i_star
 
@@ -529,7 +544,27 @@ def test_preparation_refuses_what_a_rule_cannot_run():
         with pytest.raises(PolicyError, match="focal path must consist of unlabeled edges"):
             prepare_policy(inst, policy, labeled_path)
     with pytest.raises(PolicyError, match="focal path must consist of unlabeled edges"):
-        run_width1_labeled(inst, focal=[1], rng=random.Random(0))
+        run_width1_labeled(inst, random.Random(0), labeled_path)
+
+
+def test_feasibility_probabilities_refuse_an_unknown_mode():
+    inst = labeled_fuzz(4)
+    with pytest.raises(ValueError, match="unknown feasibility mode 'bogus'"):
+        feasibility_probabilities(inst, focal_of(inst), mode="bogus")
+
+
+def test_engine_refuses_a_schedule_built_for_another_focal_path():
+    inst = direct_edges_instance()
+    orc = Oracle(inst)
+    sched = alpha_schedule(inst, (0, 1), orc.edge_probabilities(), 0)
+    with pytest.raises(ScheduleError, match="schedule was built for a different focal path"):
+        evaluate_focal_policy(inst, (2,), orc, schedule=sched)
+
+
+def test_a_sampler_run_needs_a_random_generator():
+    walk = prepare_policy(width1_fuzz(3), "width1").sampler()
+    with pytest.raises(PolicyError, match="a random.Random must be supplied"):
+        walk.run(None)
 
 
 def test_exact_and_monte_carlo_refuse_alike_on_a_focal_node_without_outcome_table():

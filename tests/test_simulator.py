@@ -143,6 +143,11 @@ def test_unknown_policy_lists_the_known_names():
         exact_policy_value(width1_fuzz(0), "nope")
 
 
+def test_competitive_report_refuses_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        competitive_report(width1_fuzz(0), "width1", mode="bogus")
+
+
 def count_engine_runs(monkeypatch):
     from pathprophet import policies
 

@@ -13,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bruteforce import weighted_index
-from pathprophet.util import cumulative, derive_seed, exact_threshold, trial_streams
+from pathprophet.util import cumulative, default_enum_cap, derive_seed, exact_threshold, trial_streams
 
 unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=10**12)
 unit_floats = st.floats(min_value=0, max_value=1)
@@ -55,3 +55,9 @@ def test_trial_streams_draw_what_a_fresh_generator_per_trial_draws(parts):
         for k in (1, 2, 7):
             assert (rng.random(), rng.randrange(k)) == (fresh.random(), fresh.randrange(k)), (parts, j, k)
     assert j == 199
+
+
+@pytest.mark.parametrize("raw, cap", [("abc", 10_000_000), ("0", 10_000_000), ("-5", 10_000_000), ("7", 7)])
+def test_enum_cap_override_falls_back_to_the_default_unless_positive(monkeypatch, raw, cap):
+    monkeypatch.setenv("PATHPROPHET_ENUM_CAP", raw)
+    assert default_enum_cap() == cap
