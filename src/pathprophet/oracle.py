@@ -407,11 +407,11 @@ class Oracle:
 
     # -- Monte Carlo fallback -----------------------------------------
 
-    def expected_opt_mc(self, trials: int, seed: int, spec: OfflineSpec = OPT) -> float:
+    def expected_opt_mc(self, trials: int, seed: int) -> float:
         if trials < 1:
             raise ValueError("trials must be positive")
         rngs = trial_streams(trials, seed, "opt")
-        terms = [self.opt_path(sample_realization(self.inst, rng), spec).value for rng in rngs]
+        terms = [self.opt_path(sample_realization(self.inst, rng)).value for rng in rngs]
         return stable_sum(terms) / trials
 
     # -- best fully-informed online walker -----------------------------

@@ -11,9 +11,13 @@ A prepared policy (`PreparedPolicy`) is a list of focal runs with its
 guarantee: one run on the instance for `width1`, `width1-labeled` and
 `disjoint`, one per cover path's contraction for `general`.
 `prepare_policy` builds it from a registry of one prepare function per
-name, which also gives `POLICIES`.  Preparation alone refuses what a
-rule cannot run (the alpha rule a labeled instance, the labeled rule a
-labeled focal edge), so the exact value and the sampler agree on it.
+name, which also gives `POLICIES`.  Each prepare function builds its
+runs and `PreparedPolicy` once, in final form, on one `Oracle` of the
+instance (for `general`, also one per contraction), which the engine,
+`feasibility_probabilities` and `build_disjoint_plan` require as an
+argument.  Preparation alone refuses what a rule cannot run (the alpha
+rule a labeled instance, the labeled rule a labeled focal edge), so
+the exact value and the sampler agree on it.
 
 A focal run has one compiled path (`_compile_path`), one acceptance
 rule (`AlphaSchedule` or `FeasibilityProbs`, each handing over a
@@ -32,9 +36,10 @@ per-edge acceptance table; the labeled coin lives in
   along the focal path, folding outcome tables and acceptance coins
   analytically.  Tentative draws are conditionally independent of the
   walker's state given the node outcome, so the forward pass is exact,
-  not an approximation.  Exact `FeasibilityProbs` keep the value of
-  the engine run that computed them: a run's only engine run.  Monte
-  Carlo ones have no exact value, and asking for one raises.
+  not an approximation.  `FocalRun.value` runs it for an alpha run; a
+  labeled run returns the value exact `FeasibilityProbs` keep from the
+  engine run that computed them.  Monte Carlo ones have no exact
+  value, and asking for one raises.
 
 Both rules take `x_e` and the choice laws from the run's oracle and
 spec, and the labeled coin's divisor is always d + 2 (d = most labels
@@ -61,7 +66,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Any, NamedTuple, Sequence
 
@@ -142,9 +147,6 @@ class AlphaSchedule:
             for eid, _, _ in tents
         }
 
-    def _exact_value(self, run: FocalRun) -> float:
-        return evaluate_focal_policy(run.graph, run.focal, run.oracle, run.spec, schedule=self).value
-
 
 def alpha_schedule(
     inst: Instance,
@@ -224,7 +226,7 @@ class FocalPolicyExact:
 def evaluate_focal_policy(
     inst: Instance,
     focal: Sequence[int],
-    oracle: Oracle | None = None,
+    oracle: Oracle,
     spec: OfflineSpec = OPT,
     schedule: AlphaSchedule | None = None,
 ) -> FocalPolicyExact:
@@ -238,7 +240,6 @@ def evaluate_focal_policy(
     (`_labeled_acceptance`, divisor d + 2) of p(e), the exact
     feasible-arrival probability computed on the fly.
     """
-    oracle = Oracle(inst) if oracle is None else oracle
     focal = tuple(focal)
     order = path_nodes(inst, focal)
     if schedule is not None and schedule.focal != focal:
@@ -356,18 +357,13 @@ class FeasibilityProbs:
         """The labeled rule's coin for every edge with p > 0."""
         return {eid: _labeled_acceptance(self.divisor, p) for eid, p in self.p.items() if p > 0}
 
-    def _exact_value(self, run: FocalRun) -> float:
-        if self._value is None:
-            raise PolicyError("Monte Carlo feasibility probabilities have no exact value")
-        return self._value
-
 
 def feasibility_probabilities(
     inst: Instance,
     focal: Sequence[int],
     mode: str = "exact",
     *,
-    oracle: Oracle | None = None,
+    oracle: Oracle,
     trials: int = 4000,
     seed: int | None = None,
 ) -> FeasibilityProbs:
@@ -379,7 +375,6 @@ def feasibility_probabilities(
     for earlier positions, mirroring how a sample-based implementation
     would bootstrap itself.  Estimated acceptances are clamped to [0,1].
     """
-    oracle = Oracle(inst) if oracle is None else oracle
     divisor = inst.max_labels_per_edge + 2
     if mode == "exact":
         stats = evaluate_focal_policy(inst, focal, oracle)
@@ -612,7 +607,11 @@ class FocalRun(NamedTuple):
     def value(self) -> float:
         """Exact expected value of the walk, from its one forward-engine
         run (for the labeled rule, the one that computed p)."""
-        return self.rule._exact_value(self)
+        if isinstance(self.rule, AlphaSchedule):
+            return evaluate_focal_policy(self.graph, self.focal, self.oracle, self.spec, schedule=self.rule).value
+        if self.rule._value is None:
+            raise PolicyError("Monte Carlo feasibility probabilities have no exact value")
+        return self.rule._value
 
 
 @dataclass(frozen=True)
@@ -654,31 +653,12 @@ def _covering_focal(inst: Instance, cover: PathCover | None) -> tuple[int, ...]:
     return cover.paths[0]
 
 
-def _alpha_policy(
-    inst: Instance,
-    focal: Sequence[int],
-    oracle: Oracle,
-    spec: OfflineSpec = OPT,
-    schedule: AlphaSchedule | None = None,
-) -> PreparedPolicy:
-    """The width-1 policy: the alpha rule on `focal` (by default with
-    q = 0).  It ignores labels, so it refuses a labeled instance."""
-    if inst.max_labels_per_edge > 0:
-        raise PolicyError("unlabeled policy cannot run on a labeled instance")
-    if schedule is None:
-        schedule = alpha_schedule(inst, focal, oracle.edge_probabilities(spec), 0)
-    run = FocalRun(inst, schedule.focal, oracle, spec, schedule)
-    return PreparedPolicy(inst, oracle, (run,), 1, 0.5, "1/2", {"focal": list(run.focal)})
-
-
-def _labeled_policy(inst: Instance, focal: Sequence[int], oracle: Oracle) -> PreparedPolicy:
-    """The width1-labeled policy: the labeled rule on `focal`.  Path-edge
-    tentatives use no capacity, so it refuses a labeled focal edge."""
+def _labeled_run(inst: Instance, focal: tuple[int, ...], oracle: Oracle) -> FocalRun:
+    """The labeled rule on `focal`.  Path-edge tentatives use no
+    capacity, so it refuses a labeled focal edge."""
     if any(inst.edges[eid].labels for eid in focal):
         raise PolicyError("focal path must consist of unlabeled edges")
-    run = FocalRun(inst, tuple(focal), oracle, OPT, feasibility_probabilities(inst, focal, oracle=oracle))
-    bound = 1 / (inst.max_labels_per_edge + 2)
-    return PreparedPolicy(inst, oracle, (run,), 1, bound, "1/(d+2)", {"focal": list(run.focal)})
+    return FocalRun(inst, focal, oracle, OPT, feasibility_probabilities(inst, focal, oracle=oracle))
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +756,7 @@ def prepare_general_cover(inst: Instance, cover: PathCover | None = None) -> Pre
     contraction, picked uniformly per trial."""
     cover = min_path_cover(inst) if cover is None else cover
     contracted = tuple(build_contracted_instance(inst, cover, i) for i in range(cover.width))
-    runs = tuple(_labeled_policy(ci.graph, ci.focal, Oracle(ci.graph)).runs[0] for ci in contracted)
+    runs = tuple(_labeled_run(ci.graph, ci.focal, Oracle(ci.graph)) for ci in contracted)
     bound = 1 / (cover.width * (inst.max_labels_per_edge + 2))
     params = {"cover": [list(p) for p in cover.paths]}
     return PreparedPolicy(inst, Oracle(inst), runs, cover.width, bound, "1/(k(d+2))", params, contracted)
@@ -805,13 +785,10 @@ class DisjointPlan:
     i_star: int
 
 
-def build_disjoint_plan(
-    inst: Instance, cover: PathCover | None = None, *, oracle: Oracle | None = None
-) -> DisjointPlan:
+def build_disjoint_plan(inst: Instance, cover: PathCover | None = None, *, oracle: Oracle) -> DisjointPlan:
     if inst.max_labels_per_edge > 0:
         raise PolicyError("disjoint-paths policy requires an unlabeled instance")
     cover = min_path_cover(inst) if cover is None else cover
-    oracle = Oracle(inst) if oracle is None else oracle
 
     internals = [order[1:-1] for order in cover.node_orders]
     seen: dict[str, int] = {}
@@ -847,9 +824,6 @@ def build_disjoint_plan(
         else:
             owner = su
         edge_sets[owner].add(e.id)
-    for i, p in enumerate(cover.paths):
-        if not set(p) <= edge_sets[i]:
-            raise CoverError(f"cover path {i} leaves its own strand edge set")
 
     path_dist = oracle.path_distribution(OPT)
     f = []
@@ -889,18 +863,6 @@ def build_disjoint_plan(
     )
 
 
-def _disjoint_policy(inst: Instance, plan: DisjointPlan, oracle: Oracle) -> PreparedPolicy:
-    """The disjoint policy on a plan: the alpha rule with divisor 2 - q on
-    strand i*, against the strand-restricted baseline."""
-    i = plan.i_star
-    focal, spec = plan.cover.paths[i], plan.specs[i]
-    schedule = alpha_schedule(inst, focal, oracle.edge_probabilities(spec), plan.q[i])
-    k = plan.cover.width
-    params = {"cover": [list(p) for p in plan.cover.paths], "strand": i, "q": plan.q[i]}
-    strand = _alpha_policy(inst, focal, oracle, spec, schedule)
-    return replace(strand, width=k, bound=1 / (k + 1), bound_label="1/(k+1)", params=params, sub_index=i)
-
-
 # ---------------------------------------------------------------------------
 # the policy registry
 
@@ -909,11 +871,20 @@ def _disjoint_policy(inst: Instance, plan: DisjointPlan, oracle: Oracle) -> Prep
 
 
 def _width1(inst: Instance, cover: PathCover | None) -> PreparedPolicy:
-    return _alpha_policy(inst, _covering_focal(inst, cover), Oracle(inst))
+    """The alpha rule with q = 0 on the covering path.  It ignores
+    labels, so it refuses a labeled instance."""
+    focal = _covering_focal(inst, cover)
+    if inst.max_labels_per_edge > 0:
+        raise PolicyError("unlabeled policy cannot run on a labeled instance")
+    oracle = Oracle(inst)
+    run = FocalRun(inst, focal, oracle, OPT, alpha_schedule(inst, focal, oracle.edge_probabilities(OPT), 0))
+    return PreparedPolicy(inst, oracle, (run,), 1, 0.5, "1/2", {"focal": list(focal)})
 
 
 def _width1_labeled(inst: Instance, cover: PathCover | None) -> PreparedPolicy:
-    return _labeled_policy(inst, _covering_focal(inst, cover), Oracle(inst))
+    run = _labeled_run(inst, _covering_focal(inst, cover), Oracle(inst))
+    bound = 1 / (inst.max_labels_per_edge + 2)
+    return PreparedPolicy(inst, run.oracle, (run,), 1, bound, "1/(d+2)", {"focal": list(run.focal)})
 
 
 def _general(inst: Instance, cover: PathCover | None) -> PreparedPolicy:
@@ -921,9 +892,16 @@ def _general(inst: Instance, cover: PathCover | None) -> PreparedPolicy:
 
 
 def _disjoint(inst: Instance, cover: PathCover | None) -> PreparedPolicy:
+    """The alpha rule with divisor 2 - q on strand i*, against the
+    strand-restricted baseline."""
     oracle = Oracle(inst)
     plan = build_disjoint_plan(inst, cover, oracle=oracle)
-    return _disjoint_policy(inst, plan, oracle)
+    i, k = plan.i_star, plan.cover.width
+    focal, spec = plan.cover.paths[i], plan.specs[i]
+    schedule = alpha_schedule(inst, focal, oracle.edge_probabilities(spec), plan.q[i])
+    run = FocalRun(inst, focal, oracle, spec, schedule)
+    params = {"cover": [list(p) for p in plan.cover.paths], "strand": i, "q": plan.q[i]}
+    return PreparedPolicy(inst, oracle, (run,), k, 1 / (k + 1), "1/(k+1)", params, sub_index=i)
 
 
 _PREPARE = {

@@ -177,6 +177,11 @@ def test_overtime_refuses_terms_that_are_not_ints(terms):
         overtime(horizon=3, terms=terms)
 
 
+def test_overtime_refuses_a_distribution_count_off_the_horizon():
+    with pytest.raises(InvalidInstanceError, match="need 3 distributions, got 2"):
+        overtime(horizon=3, dists=[[(1, 1)]] * 2)
+
+
 def test_markets_stay_and_switch_share_one_draw():
     inst = markets(periods=4)
     by_src: dict[str, list] = {}

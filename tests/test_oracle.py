@@ -327,7 +327,7 @@ def test_label_budget_and_arrival_states_are_capped_before_allocation():
         exact_policy_value(inst, "width1-labeled")
     focal = tuple(range(0, 2 * len(inst.nodes) - 2, 2))
     with pytest.raises(StateCapError, match="arrival states exceed cap"):
-        evaluate_focal_policy(inst, focal)
+        evaluate_focal_policy(inst, focal, Oracle(inst))
 
 
 def test_enumeration_cap_is_checked_before_the_shared_pass(monkeypatch):

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -35,9 +36,9 @@ from pathprophet import (
 )
 from pathprophet import policies
 from pathprophet.cover import PathCover
-from pathprophet.policies import run_modified_width1
+from pathprophet.policies import build_contracted_instance, run_modified_width1
 
-from bruteforce import iter_realizations, offline_statistics, policy_tree
+from bruteforce import iter_realizations, offline_statistics, online_value, policy_tree
 from conftest import dag_fuzz, diamond, labeled_fuzz, strands_fuzz, width1_fuzz
 
 SMALL = [j for j in range(40) if 4 + j % 4 <= 5]  # fuzz seeds giving <= 5 nodes
@@ -133,6 +134,43 @@ def test_labeled_engine_matches_execution_tree():
                 assert abs(got - xs[e.id] / (d + 2)) < 1e-9
             else:
                 assert got >= xs[e.id] / (d + 2) - 1e-9
+
+
+def zero_mass_instance():
+    """s -> a, s -> b, a -> b, a -> t, b -> t (edges 0 to 4).  Node a has
+    an outcome of mass 0 whose value on a -> t would beat every path."""
+    half = Fraction(1, 2)
+    return Instance.build(
+        ["s", "a", "b", "t"],
+        [("s", "a", ()), ("s", "b", ()), ("a", "b", ()), ("a", "t", ()), ("b", "t", ())],
+        outcomes={
+            "s": [(half, {0: Fraction(1), 1: Fraction(0)}), (half, {0: Fraction(0), 1: Fraction(2)})],
+            "a": [(Fraction(0), {2: Fraction(0), 3: Fraction(9)}), (Fraction(1), {2: Fraction(1), 3: Fraction(0)})],
+            "b": [(half, {4: Fraction(3)}), (half, {4: Fraction(0)})],
+        },
+    )
+
+
+@pytest.mark.parametrize("twin", [False, True], ids=["fraction", "float"])
+def test_zero_mass_outcomes_match_bruteforce(twin):
+    inst = json_twin(zero_mass_instance()) if twin else zero_mass_instance()
+    orc = Oracle(inst)
+    focal = focal_of(inst)
+    expected, xs, laws, path_dist = offline_statistics(inst)
+    assert orc.expected_opt() == pytest.approx(expected, abs=1e-12)
+    assert orc.edge_probabilities() == pytest.approx(xs, abs=1e-12)
+    assert orc.path_distribution() == pytest.approx(path_dist, abs=1e-12)
+    for name, rows in laws.items():
+        for o_idx, law in enumerate(rows):
+            got = orc.conditional_choice_distribution(name, o_idx)
+            assert {k: v for k, v in got.items() if v} == pytest.approx({k: v for k, v in law.items() if v})
+    alpha = evaluate_focal_policy(inst, focal, orc, schedule=alpha_schedule(inst, focal, xs, 0))
+    tree = policy_tree(inst, focal, laws, unlabeled_tree_accept(inst, focal, xs))
+    assert alpha.value == pytest.approx(tree["value"], abs=1e-12)
+    labeled = evaluate_focal_policy(inst, focal, orc)
+    tree = policy_tree(inst, focal, laws, staged_tree_accept(inst, focal, laws, 2))
+    assert labeled.value == pytest.approx(tree["value"], abs=1e-12)
+    assert orc.optimal_online_value() == pytest.approx(online_value(inst), rel=1e-12, abs=0)
 
 
 def test_alpha_schedule_shape_and_errors():
@@ -415,7 +453,7 @@ def test_disjoint_guarantee_and_runner_stays_in_strand():
 
 def test_disjoint_rejects_labeled_and_overlapping_covers():
     with pytest.raises(PolicyError):
-        build_disjoint_plan(labeled_fuzz(0))
+        build_disjoint_plan(labeled_fuzz(0), oracle=Oracle(labeled_fuzz(0)))
     inst = strands_fuzz(1)
     cov = min_path_cover(inst)
     overlapping = PathCover(
@@ -423,7 +461,7 @@ def test_disjoint_rejects_labeled_and_overlapping_covers():
         (cov.node_orders[0], cov.node_orders[0]) + cov.node_orders[1:],
     )
     with pytest.raises(CoverError):
-        build_disjoint_plan(inst, overlapping)
+        build_disjoint_plan(inst, overlapping, oracle=Oracle(inst))
 
 
 def direct_edges_instance():
@@ -441,12 +479,12 @@ def direct_edges_instance():
 def test_disjoint_plan_moves_the_internal_free_path_to_strand_0():
     inst = direct_edges_instance()
     cover = cover_from_paths(inst, [(0, 1), (2,)])
-    plan = build_disjoint_plan(inst, cover)
+    plan = build_disjoint_plan(inst, cover, oracle=Oracle(inst))
     assert plan.cover.paths == ((2,), (0, 1))
     assert plan.edge_sets[0] == {2, 3}  # every direct edge pools with the internal-free strand
     assert prepare_policy(inst, "disjoint", cover).params["cover"] == [[2], [0, 1]]
     with pytest.raises(CoverError, match="more than one cover path has no internal nodes"):
-        build_disjoint_plan(inst, cover_from_paths(inst, [(0, 1), (2,), (3,)]))
+        build_disjoint_plan(inst, cover_from_paths(inst, [(0, 1), (2,), (3,)]), oracle=Oracle(inst))
 
 
 # -- one rule for the engine and the walker ----------------------------------
@@ -550,7 +588,21 @@ def test_preparation_refuses_what_a_rule_cannot_run():
 def test_feasibility_probabilities_refuse_an_unknown_mode():
     inst = labeled_fuzz(4)
     with pytest.raises(ValueError, match="unknown feasibility mode 'bogus'"):
-        feasibility_probabilities(inst, focal_of(inst), mode="bogus")
+        feasibility_probabilities(inst, focal_of(inst), mode="bogus", oracle=Oracle(inst))
+
+
+def test_labeled_engine_refuses_offline_mass_off_the_focal_surface():
+    inst = diamond()
+    with pytest.raises(PolicyError, match="offline mass 0.5 on edge 1 is off the focal surface"):
+        evaluate_focal_policy(inst, (0, 2), Oracle(inst))
+
+
+def test_contraction_refuses_an_index_off_the_cover():
+    inst = diamond()
+    cover = min_path_cover(inst)
+    for index in (cover.width, -1):
+        with pytest.raises(CoverError, match=f"cover has 2 paths, no index {index}"):
+            build_contracted_instance(inst, cover, index)
 
 
 def test_engine_refuses_a_schedule_built_for_another_focal_path():
@@ -576,7 +628,7 @@ def test_exact_and_monte_carlo_refuse_alike_on_a_focal_node_without_outcome_tabl
     )
     msg = "node 'a' has no outcome table"
     with pytest.raises(InvalidInstanceError, match=msg):
-        evaluate_focal_policy(inst, (0, 1))
+        evaluate_focal_policy(inst, (0, 1), Oracle(inst))
     prepared = prepare_policy(inst, "width1")
     with pytest.raises(InvalidInstanceError, match=msg):
         prepared.exact_value()
@@ -614,7 +666,7 @@ def test_disjoint_plan_names_the_shared_node_whatever_the_hash_seed():
 def test_monte_carlo_feasibility_refuses_non_positive_trials(trials):
     inst = labeled_fuzz(2)
     with pytest.raises(ValueError, match="trials must be positive"):
-        feasibility_probabilities(inst, focal_of(inst), mode="mc", trials=trials, seed=5)
+        feasibility_probabilities(inst, focal_of(inst), mode="mc", oracle=Oracle(inst), trials=trials, seed=5)
 
 
 def test_a_run_on_monte_carlo_feasibility_has_no_exact_value():
