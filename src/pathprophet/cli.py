@@ -10,6 +10,11 @@ range), 4 size cap exceeded, 5 policy/cover errors.
 Each `_cmd_*` handler returns (exit code, JSON payload, text lines) and
 prints nothing; `main` prints the payload under --json and the lines
 otherwise, or one `error[...]` line on stderr when the handler raises.
+A payload that carries a library record (`Violation`, `PathCover`,
+`StepRecord`) carries it by the record's own fields, so each field list
+is kept in one module.  Every subcommand but `gen` is declared by one
+call that adds its parser, its `instance` argument and its handler, and
+`--json` is added to every subcommand in one place, as its last option.
 
 `main(argv)` may be called any number of times in one process: it
 builds its parser once, on first use, and each call parses into a
@@ -19,11 +24,12 @@ fresh namespace.  `build_parser()` returns a new parser on every call.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import random
 import sys
-from typing import Any
+from typing import Any, Callable
 
 from .errors import (
     CoverError,
@@ -45,10 +51,6 @@ from .oracle import Oracle
 from .policies import POLICIES, prepare_policy
 from .simulate import competitive_report
 from .util import derive_seed
-
-
-def _emit_json(obj: Any) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True, default=float))
 
 
 def _seed(given: int | None) -> tuple[int, str]:
@@ -75,10 +77,7 @@ def _cmd_validate(args: argparse.Namespace) -> Output:
     report = validate_instance(inst)
     payload = {
         "ok": report.ok,
-        "violations": [
-            {"code": v.code, "message": v.message, "where": v.where}
-            for v in report.violations
-        ],
+        "violations": [dataclasses.asdict(v) for v in report.violations],
         "warnings": list(report.warnings),
         "nodes": len(inst.nodes),
         "edges": len(inst.edges),
@@ -102,11 +101,7 @@ def _cmd_width(args: argparse.Namespace) -> Output:
 
 def _cmd_cover(args: argparse.Namespace) -> Output:
     cover = min_path_cover(_load_checked(args.instance), args.cover_seed)
-    payload = {
-        "width": cover.width,
-        "paths": [list(p) for p in cover.paths],
-        "node_orders": [list(o) for o in cover.node_orders],
-    }
+    payload = {"width": cover.width, **dataclasses.asdict(cover)}
     lines = [f"width: {cover.width}"]
     for i, (path, order) in enumerate(zip(cover.paths, cover.node_orders)):
         edges = ", ".join(str(e) for e in path)
@@ -182,17 +177,7 @@ def _cmd_trace(args: argparse.Namespace) -> Output:
         "value": value,
         "edges": list(traj.edges),
         "sub_index": traj.sub_index,
-        "steps": [
-            {
-                "node": s.node,
-                "outcome": s.outcome,
-                "tentative": s.tentative,
-                "feasible": s.feasible,
-                "coin": s.coin,
-                "taken": s.taken,
-            }
-            for s in traj.steps
-        ],
+        "steps": [dataclasses.asdict(s) for s in traj.steps],
     }
     lines = [f"policy: {args.policy}, seed: {seed}{tag}"]
     if traj.sub_index is not None:
@@ -250,49 +235,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_json(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--json", action="store_true", help="machine-readable output")
+    def command(name: str, text: str, func: Callable[[argparse.Namespace], Output]) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=text)
+        p.add_argument("instance")
+        p.set_defaults(func=func)
+        return p
 
     def add_cover_seed(p: argparse.ArgumentParser) -> None:
         p.add_argument("--cover-seed", type=int, default=None, help="seed that picks among the minimum path covers")
 
-    p = sub.add_parser("validate", help="check an instance file")
-    p.add_argument("instance")
-    add_json(p)
-    p.set_defaults(func=_cmd_validate)
+    command("validate", "check an instance file", _cmd_validate)
+    add_cover_seed(command("width", "minimum number of covering paths", _cmd_width))
+    add_cover_seed(command("cover", "print a minimum path cover", _cmd_cover))
 
-    p = sub.add_parser("width", help="minimum number of covering paths")
-    p.add_argument("instance")
-    add_cover_seed(p)
-    add_json(p)
-    p.set_defaults(func=_cmd_width)
-
-    p = sub.add_parser("cover", help="print a minimum path cover")
-    p.add_argument("instance")
-    add_cover_seed(p)
-    add_json(p)
-    p.set_defaults(func=_cmd_cover)
-
-    p = sub.add_parser("opt", help="expected offline (prophet) value")
-    p.add_argument("instance")
+    p = command("opt", "expected offline (prophet) value", _cmd_opt)
     p.add_argument("--mc", action="store_true", help="Monte Carlo instead of exact")
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--seed", type=int, default=None)
-    add_json(p)
-    p.set_defaults(func=_cmd_opt)
 
-    p = sub.add_parser("xprobs", help="per-edge offline selection probabilities")
-    p.add_argument("instance")
-    add_json(p)
-    p.set_defaults(func=_cmd_xprobs)
+    command("xprobs", "per-edge offline selection probabilities", _cmd_xprobs)
+    command("online-opt", "value of the best fully informed walker", _cmd_online_opt)
 
-    p = sub.add_parser("online-opt", help="value of the best fully informed walker")
-    p.add_argument("instance")
-    add_json(p)
-    p.set_defaults(func=_cmd_online_opt)
-
-    p = sub.add_parser("simulate", help="run a policy against the prophet")
-    p.add_argument("instance")
+    p = command("simulate", "run a policy against the prophet", _cmd_simulate)
     p.add_argument("--policy", choices=POLICIES, required=True)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--exact", action="store_true", help="exact evaluation (default)")
@@ -301,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     add_cover_seed(p)
     p.add_argument("--online", action="store_true", help="include the optimal online value")
-    add_json(p)
-    p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("gen", help="generate a benchmark or random instance")
     p.add_argument("family", choices=list(paper_families()) + ["random"])
@@ -321,16 +283,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=None)
     p.add_argument("--outcomes", type=int, default=None)
     p.add_argument("--d", type=int, default=None, choices=(0, 1, 2))
-    add_json(p)
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("trace", help="walk one reproducible trajectory")
-    p.add_argument("instance")
+    p = command("trace", "walk one reproducible trajectory", _cmd_trace)
     p.add_argument("--policy", choices=POLICIES, required=True)
     p.add_argument("--seed", type=int, default=None)
     add_cover_seed(p)
-    add_json(p)
-    p.set_defaults(func=_cmd_trace)
+
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", help="machine-readable output")
 
     return parser
 
@@ -345,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code, payload, lines = args.func(args)
         if args.json:
-            _emit_json(payload)
+            print(json.dumps(payload, indent=2, sort_keys=True, default=float))
         else:
             print("\n".join(lines))
         return code

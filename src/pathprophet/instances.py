@@ -467,9 +467,7 @@ def _attach_tables(
         by_src.setdefault(src, []).append(i)
     outcomes = {}
     for node in inst_nodes[:-1]:
-        ids = by_src.get(node, [])
-        if not ids:
-            continue
+        ids = by_src[node]
         rows_n = rng.randint(1, max_outcomes)
         masses = _dyadic_masses(rng, rows_n)
         rows = []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -228,6 +229,20 @@ def test_validate_on_a_document_that_is_not_an_object_is_one_error_line(tmp_path
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines() == ["error[validation]: an instance document must be a JSON object"]
+
+
+def test_edges_given_as_an_object_are_refused_in_the_library_and_the_cli(tmp_path, capsys):
+    from pathprophet.cli import main
+
+    doc = {"nodes": ["s", "t"], "edges": {}}
+    with pytest.raises(InvalidInstanceError, match="edges must be a list of edge objects"):
+        instance_from_dict(doc)
+    path = tmp_path / "edges-object.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error[validation]: edges must be a list of edge objects"]
 
 
 def test_enumerate_realizations_matches_product():

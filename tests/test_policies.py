@@ -605,6 +605,37 @@ def test_contraction_refuses_an_index_off_the_cover():
             build_contracted_instance(inst, cover, index)
 
 
+def test_contraction_refuses_an_edge_with_no_unlabeled_route_back():
+    # unvalidated: b's only way on is the labeled edge 3, so contracting
+    # onto path 0 (s -> a -> t) leaves edge 2 (s -> b) with nowhere to go
+    inst = Instance.build(
+        ["s", "a", "b", "t"],
+        [("s", "a", ()), ("a", "t", ()), ("s", "b", ()), ("b", "t", ("red",))],
+        labels={"red": 1},
+        outcomes={"s": [(1, {0: 0, 2: 0})], "a": [(1, {1: 1})], "b": [(1, {3: 1})]},
+    )
+    cover = cover_from_paths(inst, [[0, 1], [2, 3]])
+    message = "edge 2 strands the walker: no unlabeled route from 'b' back to the cover path"
+    with pytest.raises(CoverError, match=message):
+        build_contracted_instance(inst, cover, 0)
+    with pytest.raises(CoverError, match=message):
+        prepare_policy(inst, "general", cover)
+
+
+def test_walker_refuses_a_tentative_edge_whose_mc_feasibility_is_zero():
+    from pathprophet import OPT
+    from pathprophet.policies import FocalWalker
+
+    # one Monte Carlo trial leaves p(e)=0 on edge 11, which has x_e > 0
+    inst = labeled_fuzz(2)
+    focal = focal_of(inst)
+    orc = Oracle(inst)
+    rule = feasibility_probabilities(inst, focal, mode="mc", oracle=orc, trials=1, seed=1)
+    walker = FocalWalker(inst, focal, orc, OPT, rule)
+    with pytest.raises(PolicyError, match=r"p\(e\)=0 encountered for a tentative edge with x_e>0 \(edge 11\)"):
+        walker.walk(random.Random(1), sample_realization(inst, random.Random(1)))
+
+
 def test_engine_refuses_a_schedule_built_for_another_focal_path():
     inst = direct_edges_instance()
     orc = Oracle(inst)
