@@ -137,10 +137,11 @@ class _BestPathDP:
         self.trans: list[tuple[int | None, ...] | None] = []
         for e in inst.edges:
             need = [digit[lbl] for lbl in e.labels if lbl in digit]
-            drop = sum(s for s, _ in need)
-            states = range(n_states) if need else ()
-            row = tuple(st - drop if all(st // s % r for s, r in need) else None for st in states)
-            self.trans.append(row or None)
+            if not need:
+                self.trans.append(None)
+                continue
+            drop = sum([s for s, _ in need])
+            self.trans.append(tuple([st - drop if all([st // s % r for s, r in need]) else None for st in range(n_states)]))
         # out[i]: (edge id, dst index), ascending edge id
         self.out: list[tuple[tuple[int, int], ...]] = []
         # values[i][o]: node i's edge values in outcome o, aligned with out[i];
@@ -150,10 +151,10 @@ class _BestPathDP:
             # an edge against node order (validation refuses it) is on no path the DP builds
             row = tuple((e.id, inst.node_index[e.dst]) for e in edges if inst.node_index[e.dst] > i)
             self.out.append(row)
-            self.values.append([tuple(o.values.get(eid, 0) for eid, _ in row) for o in inst.tables[i]] or [(0,) * len(row)])
+            self.values.append([tuple([o.values.get(eid, 0) for eid, _ in row]) for o in inst.tables[i]] or [(0,) * len(row)])
         nums = inst.scale.nums if inst.exact else None
         self.sums = self.values if nums is None else [
-            [tuple(nums[e][o] for e, _ in out) for o in range(len(v))] for out, v in zip(self.out, self.values)
+            [tuple([nums[e][o] for e, _ in out]) for o in range(len(v))] for out, v in zip(self.out, self.values)
         ]
         trans = self.trans
         reach: list[set[int]] = [set() for _ in self.out]  # states reachable from the source at full
@@ -363,16 +364,22 @@ class Oracle:
 
         if inst.exact:  # masses over d = prod(mass_den); an untouched bucket stays the int 0 sums start from
             d = math.prod(inst.scale.mass_den)
-            xs, acc = ([Fraction(a, d) if a else 0 for a in buckets] for buckets in (xs, acc))
+            xs = [Fraction(a, d) if a else 0 for a in xs]
             path_mass = [Fraction(m, d) for m in path_mass]
             value_terms = [Fraction(sum(value_terms), d * inst.scale.den)]
         laws: dict[int, tuple[tuple[float, ...], ...]] = {}
         for k, i in enumerate(tabled):
             w = width[k]
-            laws[i] = tuple(
-                tuple(a / o.p for a in acc[start : start + w]) if o.p > 0 else (0,) * (w - 1) + (1,)
-                for start, o in zip(range(base[k], base[k + 1], w), inst.tables[i])
-            )
+            law_rows = []
+            for start, o in zip(range(base[k], base[k + 1], w), inst.tables[i]):
+                p, bucket = o.p, acc[start : start + w]
+                if inst.exact:  # every mass positive; (a / d) / p as one Fraction, and an untouched
+                    # bucket keeps `0 / p`: Fraction(0, 1), or the float 0.0 under an int mass
+                    zero, num, den = 0 / p, p.denominator, d * p.numerator
+                    law_rows.append(tuple([Fraction(a * num, den) if a else zero for a in bucket]))
+                else:
+                    law_rows.append(tuple([a / p for a in bucket]) if p > 0 else (0,) * (w - 1) + (1,))
+            laws[i] = tuple(law_rows)
         data = _SpecData(stable_sum(value_terms), tuple(xs), laws, dict(zip(slot, path_mass)))
         self._specs[spec] = data
         return data

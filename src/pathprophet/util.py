@@ -45,10 +45,16 @@ def stable_sum(values: Iterable) -> float | Fraction:
     # one subclass test per distinct type: isinstance against the
     # Fraction ABC costs about as much as the float sum itself
     if any(issubclass(t, Fraction) for t in set(map(type, vals))):
-        total = Fraction(0)
+        # exact integer ratios over one running common denominator, and one
+        # canonical Fraction at the end: the one term-by-term addition gives
+        num, den = 0, 1
         for v in vals:
-            total += v if isinstance(v, Fraction) else Fraction(v)
-        return total
+            n, d = v.as_integer_ratio()  # NaN and inf raise as Fraction(v) does
+            if den % d:
+                k = d // math.gcd(den, d)
+                num, den = num * k, den * k
+            num += n * (den // d)
+        return Fraction(num, den)
     return math.fsum(vals)
 
 
@@ -69,10 +75,13 @@ def trial_streams(trials: int, master: int, *parts: object) -> Iterator[random.R
     shared prefix is hashed once, and its hash object copied per trial."""
     prefix = hashlib.sha256("/".join(map(str, (master, *parts, ""))).encode())
     rng = random.Random(0)
+    # what `rng.seed(n)` does for an int n, without its Python-level type checks
+    seed = super(random.Random, rng).seed
     for j in range(trials):
         h = prefix.copy()
         h.update(str(j).encode())
-        rng.seed(int.from_bytes(h.digest()[:8], "big"))
+        seed(int.from_bytes(h.digest()[:8], "big"))
+        rng.gauss_next = None
         yield rng
 
 

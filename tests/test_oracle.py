@@ -435,3 +435,17 @@ def test_expected_opt_stays_exact_with_a_zero_mass():
         got = Oracle(inst).expected_opt()
         assert type(got) is Fraction and got == Fraction(5, 3)
         assert repr(Oracle(json_twin(inst)).expected_opt()) == "1.6666666666666665"
+
+
+def test_exact_law_rows_keep_the_type_of_an_untouched_bucket():
+    # An untouched bucket's law entry is `0 / p`: Fraction(0, 1) under a Fraction mass, the float 0.0
+    # under an int mass (node "1" of two-candidate and node "s" of upper49 have the one int mass 1).
+    # A repr tells the two apart; these were taken at 16431da.  ROADMAP item 3 (Fraction in,
+    # Fraction out) turns these 0.0s into Fractions and updates this test with perfbench/reference.json.
+    two = Oracle(generate_paper_instance("two-candidate", eps=Fraction(1, 2)))
+    assert repr(two.choice_laws("1")) == "((Fraction(1, 2), Fraction(1, 2), 0.0),)"
+    assert repr(two.choice_laws("2")) == (
+        "((Fraction(0, 1), Fraction(1, 1), Fraction(0, 1)), (Fraction(0, 1), Fraction(0, 1), Fraction(1, 1)))"
+    )
+    upper = Oracle(generate_paper_instance("upper49", eps=Fraction(1, 4)))
+    assert repr(upper.choice_laws("s")) == "((Fraction(1, 4), Fraction(3, 8), Fraction(3, 8), 0.0),)"

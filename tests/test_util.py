@@ -9,11 +9,11 @@ from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bruteforce import weighted_index
-from pathprophet.util import cumulative, default_enum_cap, derive_seed, exact_threshold, trial_streams
+from pathprophet.util import cumulative, default_enum_cap, derive_seed, exact_threshold, stable_sum, trial_streams
 
 unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=10**12)
 unit_floats = st.floats(min_value=0, max_value=1)
@@ -54,7 +54,47 @@ def test_trial_streams_draw_what_a_fresh_generator_per_trial_draws(parts):
         fresh = random.Random(derive_seed(master, *parts, j))
         for k in (1, 2, 7):
             assert (rng.random(), rng.randrange(k)) == (fresh.random(), fresh.randrange(k)), (parts, j, k)
+        # gauss keeps the second value of each pair it draws: a reseed must drop it, as a fresh generator has none
+        assert rng.gauss(0, 1) == fresh.gauss(0, 1), (parts, j)
     assert j == 199
+
+
+def _outcome(total, vals):
+    """repr of `total(vals)` (so -0.0 and 0 differ from 0.0), or the type of the exception it raises."""
+    try:
+        return repr(total(vals))
+    except Exception as exc:
+        return type(exc)
+
+
+exact_terms = st.fractions(max_denominator=10**30) | st.sampled_from([Fraction(0), Fraction(-7, 3), Fraction(1, 3**40)])
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [5e-324, -2.2250738585072014e-308, 1e308, -1.7976931348623157e308, -0.0]
+)
+mixed_terms = st.lists(st.one_of(st.integers(), exact_terms, finite_floats), max_size=8)
+
+
+@settings(deadline=None)
+@given(mixed_terms, exact_terms, st.integers(min_value=0, max_value=8))
+def test_stable_sum_with_a_fraction_is_the_exact_fraction_sum(vals, frac, at):
+    vals.insert(at, frac)
+    got = stable_sum(vals)
+    assert type(got) is Fraction
+    assert got == sum(map(Fraction, vals), Fraction(0))
+
+
+@settings(deadline=None)
+@given(mixed_terms, exact_terms, st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_stable_sum_refuses_a_non_finite_float_among_fractions_as_fraction_does(vals, frac, bad):
+    refusal = _outcome(Fraction, bad)
+    assert refusal in (ValueError, OverflowError)  # ValueError for NaN, OverflowError for inf
+    assert _outcome(stable_sum, [frac, *vals, bad]) is refusal
+
+
+@settings(deadline=None)
+@given(st.lists(st.one_of(st.integers(min_value=-(2**60), max_value=2**60), finite_floats), max_size=8))
+def test_stable_sum_without_a_fraction_is_fsum(vals):
+    assert _outcome(stable_sum, vals) == _outcome(math.fsum, vals)
 
 
 @pytest.mark.parametrize("raw, cap", [("abc", 10_000_000), ("0", 10_000_000), ("-5", 10_000_000), ("7", 7)])
