@@ -26,18 +26,22 @@ per offline spec; no list of realizations is ever built.
   order, the order of `model.enumerate_realizations`.  That result does
   not depend on the spec, so every spec shares it.
 * Per spec, the accumulation walks the realizations in that product
-  order, maps each distinct path id through the spec, and adds each
-  realization's mass `1 * p_0 * p_1 * ...` to its buckets (expected
-  value, `x`, path law, conditional laws) with the same operations in
-  the same order as a per-realization loop, so float statistics are
-  bit-identical to that loop and `Fraction` statistics stay exact.  The
-  sum of a path's values is chosen once per table from the types it
-  holds, not tested per realization.
+  order and maps each distinct path id through the spec.  On float and
+  mixed tables it adds each realization's mass `1 * p_0 * p_1 * ...`
+  to every bucket (expected value, `x`, path law, conditional laws)
+  with the same operations in the same order as a per-realization
+  loop, so float statistics are bit-identical to that loop.  The sum
+  of a path's values is chosen once per table from the types it holds,
+  not tested per realization.
 * Exact tables (`Instance.exact`) run both passes on the integer
   numerators of `Instance.scale`, which compare and tie as the values
-  do, and each statistic becomes one canonical `Fraction` at the end,
-  the one `Fraction` arithmetic gives.  Float and mixed tables run on
-  their own numbers.
+  do.  Integers add in any order, so a realization adds its mass only
+  to its path's slot in the path law and to its conditional-law
+  buckets; `x[e]` is then the mass of the spec paths through e, and the
+  expected value is the sum of each value numerator times its bucket.
+  Each statistic becomes one canonical `Fraction` at the end, the one
+  `Fraction` arithmetic gives.  Float and mixed tables run on their own
+  numbers.
 
 `opt_path` scores one given realization with the same DP rows, and the
 online DP backs up expected values over them.  A source with no live
@@ -53,6 +57,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from typing import Sequence
 
 from .errors import InvalidInstanceError
@@ -297,12 +302,6 @@ class Oracle:
         best = self._best_ids
         dp = self._dp
         inst = self.inst
-        masses = inst.scale.masses if inst.exact else [[o.p for o in t] for t in inst.tables]
-        # one path-value sum per table: exact on ints and Fractions, compensated on floats,
-        # `stable_sum` (a type test per path) only when floats and Fractions mix
-        kinds = {type(v) for rows in dp.sums for row in rows for v in row} | {type(p) for row in masses for p in row}
-        frac, flt = (any(issubclass(t, cls) for t in kinds) for cls in (Fraction, float))
-        add = stable_sum if frac and flt else math.fsum if flt else sum
         tabled = [i for i, table in enumerate(inst.tables) if table]
         # conditional-law buckets: per node with a table a block of rows,
         # one per outcome, with a column per out-edge in order and one
@@ -324,49 +323,77 @@ class Oracle:
             cols = tuple(at_node.get(i, w - 1) for i, w in zip(tabled, width))
             chosen[pid] = (path, slot.setdefault(path, len(slot)), cols)
 
-        last = len(tabled) - 1
-        sizes = [len(inst.tables[i]) for i in tabled]
-        at = [0] * len(tabled)
-        prefix = [1] * (len(tabled) + 1)  # prefix[k + 1] = 1 * p_0 * ... * p_k; int keeps Fraction exact
-        rows = [0] * len(tabled)  # bucket offset of each tabled node's current outcome
-        cur = [0] * len(inst.edges)  # the current realization's edge values
-
-        def settle(first: int) -> None:
-            for k in range(first, len(tabled)):
-                i, o = tabled[k], at[k]
-                prefix[k + 1] = prefix[k] * masses[i][o]
-                rows[k] = base[k] + o * width[k]
-                for (eid, _), v in zip(dp.out[i], dp.sums[i][o]):
-                    cur[eid] = v
-
-        settle(0)
         xs: list[float] = [0] * len(inst.edges)
         path_mass: list[float] = [0] * len(slot)
-        value_of = cur.__getitem__
-        value_terms = []
-        for pid in best:
-            path, p, cols = chosen[pid]
-            m = prefix[-1]
-            value_terms.append(m * add(map(value_of, path)))
-            for eid in path:
-                xs[eid] += m
-            path_mass[p] += m
-            for r, c in zip(rows, cols):
-                acc[r + c] += m
-            # next realization in product order: the last node moves fastest
-            k = last
-            while k >= 0 and at[k] + 1 == sizes[k]:
-                at[k] = 0
-                k -= 1
-            if k >= 0:
-                at[k] += 1
-                settle(k)
-
-        if inst.exact:  # masses over d = prod(mass_den); an untouched bucket stays the int 0 sums start from
+        if inst.exact:
+            # integer masses add in any order: a realization adds its mass
+            # `p_0 * p_1 * ...` (over d = prod(mass_den)) only to its path's
+            # slot and its law buckets, walked in product order
+            rows = [range(base[k], base[k + 1], w) for k, w in enumerate(width)]
+            mass_of = map(math.prod, product(*[inst.scale.masses[i] for i in tabled]))
+            for pid, offsets, m in zip(best, product(*rows), mass_of):
+                _, p, cols = chosen[pid]
+                path_mass[p] += m
+                for r, c in zip(offsets, cols):
+                    acc[r + c] += m
+            # x[e]: the mass of the spec paths through e; the expected value:
+            # each value numerator times its bucket, over d * den
+            for path, m in zip(slot, path_mass):
+                for eid in path:
+                    xs[eid] += m
+            nums = inst.scale.nums
+            total = sum(
+                [nums[e.id][o] * acc[r + c] for k, i in enumerate(tabled)
+                 for o, r in enumerate(rows[k]) for c, e in enumerate(inst.out_edges[i])]
+            )
             d = math.prod(inst.scale.mass_den)
-            xs = [Fraction(a, d) if a else 0 for a in xs]
+            expected = Fraction(total, d * inst.scale.den)
+            xs = [Fraction(a, d) if a else 0 for a in xs]  # an untouched x stays the int 0 sums start from
             path_mass = [Fraction(m, d) for m in path_mass]
-            value_terms = [Fraction(sum(value_terms), d * inst.scale.den)]
+        else:
+            masses = [[o.p for o in t] for t in inst.tables]
+            # one path-value sum per table: exact on ints and Fractions, compensated on floats,
+            # `stable_sum` (a type test per path) only when floats and Fractions mix
+            kinds = {type(v) for rows in dp.sums for row in rows for v in row} | {type(p) for row in masses for p in row}
+            frac, flt = (any(issubclass(t, cls) for t in kinds) for cls in (Fraction, float))
+            add = stable_sum if frac and flt else math.fsum if flt else sum
+            last = len(tabled) - 1
+            sizes = [len(inst.tables[i]) for i in tabled]
+            at = [0] * len(tabled)
+            prefix = [1] * (len(tabled) + 1)  # prefix[k + 1] = 1 * p_0 * ... * p_k; int keeps Fraction exact
+            rows = [0] * len(tabled)  # bucket offset of each tabled node's current outcome
+            cur = [0] * len(inst.edges)  # the current realization's edge values
+
+            def settle(first: int) -> None:
+                for k in range(first, len(tabled)):
+                    i, o = tabled[k], at[k]
+                    prefix[k + 1] = prefix[k] * masses[i][o]
+                    rows[k] = base[k] + o * width[k]
+                    for (eid, _), v in zip(dp.out[i], dp.sums[i][o]):
+                        cur[eid] = v
+
+            settle(0)
+            value_of = cur.__getitem__
+            value_terms = []
+            for pid in best:
+                path, p, cols = chosen[pid]
+                m = prefix[-1]
+                value_terms.append(m * add(map(value_of, path)))
+                for eid in path:
+                    xs[eid] += m
+                path_mass[p] += m
+                for r, c in zip(rows, cols):
+                    acc[r + c] += m
+                # next realization in product order: the last node moves fastest
+                k = last
+                while k >= 0 and at[k] + 1 == sizes[k]:
+                    at[k] = 0
+                    k -= 1
+                if k >= 0:
+                    at[k] += 1
+                    settle(k)
+
+            expected = stable_sum(value_terms)
         laws: dict[int, tuple[tuple[float, ...], ...]] = {}
         for k, i in enumerate(tabled):
             w = width[k]
@@ -380,7 +407,7 @@ class Oracle:
                 else:
                     law_rows.append(tuple([a / p for a in bucket]) if p > 0 else (0,) * (w - 1) + (1,))
             laws[i] = tuple(law_rows)
-        data = _SpecData(stable_sum(value_terms), tuple(xs), laws, dict(zip(slot, path_mass)))
+        data = _SpecData(expected, tuple(xs), laws, dict(zip(slot, path_mass)))
         self._specs[spec] = data
         return data
 

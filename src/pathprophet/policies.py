@@ -167,7 +167,7 @@ def alpha_schedule(
     order = path_nodes(inst, focal)
     pos = {name: i for i, name in enumerate(order)}
     for e in inst.edges:
-        if x[e.id] > TOL and (e.src not in pos or e.dst not in pos):
+        if (e.src not in pos or e.dst not in pos) and x[e.id] > TOL:  # off the surface first: no float TOL vs Fraction x
             raise ScheduleError(
                 "x/q inconsistent with focal path: "
                 f"offline mass {float(x[e.id]):.6g} sits on edge {e.id} off the focal surface"
@@ -251,7 +251,7 @@ def evaluate_focal_policy(
     xs = oracle.edge_probabilities(spec)
     path = _compile_path(inst, focal, order, oracle)
     for e in inst.edges:
-        if xs[e.id] > TOL and (e.src not in path.pos or e.dst not in path.pos):
+        if (e.src not in path.pos or e.dst not in path.pos) and xs[e.id] > TOL:
             raise PolicyError(
                 f"offline mass {float(xs[e.id]):.6g} on edge {e.id} is off the focal surface"
             )

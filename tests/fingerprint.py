@@ -27,8 +27,8 @@ Layers, each reached through public calls only:
 
 A refusal is recorded as its exception type and message.  `repr` tells
 `int`, `float` and `Fraction` apart, so a statistic that changes type
-moves.  `--compare` lists the moved, missing and new records by layer
-and exits 1 if there are any.  The file is not named `test_*`, so
+moves.  `--compare` prints each layer's count of moved, missing and new
+records, lists them, and exits 1 if there are any.  The file is not named `test_*`, so
 pytest does not collect it.
 """
 
@@ -80,7 +80,6 @@ def float_twin(api, inst):
 
 def corpus(api) -> list[tuple[str, object, tuple[str, ...]]]:
     """(key, instance, policies) for every instance of the corpus."""
-    import conftest
     import workloads
 
     out = []
@@ -91,10 +90,19 @@ def corpus(api) -> list[tuple[str, object, tuple[str, ...]]]:
                 for job in jobs:
                     key = f"{workload}/{seed}/{job.key}"
                     out += [(f"{key}#frac", job.frac, (job.policy,)), (f"{key}#float", job.twin, (job.policy,))]
+    return out + named_corpus(api, FUZZ_COUNT)
+
+
+def named_corpus(api, fuzz_count: int) -> list[tuple[str, object, tuple[str, ...]]]:
+    """(key, instance, policies) for the fuzz makers' j < `fuzz_count` and
+    every named family, each with its JSON float twin and every policy."""
+    import conftest
+
     everything = api.policies.POLICIES
     makers = (conftest.width1_fuzz, conftest.labeled_fuzz, conftest.dag_fuzz, conftest.strands_fuzz)
-    named = [(f"{maker.__name__}({j})", maker(j)) for maker in makers for j in range(FUZZ_COUNT)]
+    named = [(f"{maker.__name__}({j})", maker(j)) for maker in makers for j in range(fuzz_count)]
     named += [(family, api.instances.generate_paper_instance(family)) for family in api.instances.paper_families()]
+    out = []
     for key, inst in named:
         out += [(f"{key}#exact", inst, everything), (f"{key}#float", float_twin(api, inst), everything)]
     return out
@@ -158,9 +166,10 @@ def compare(a_path: str, b_path: str) -> int:
             moved[layer].append(f"  new      {key}\n    B {b[rec]}")
         elif a[rec] != b[rec]:
             moved[layer].append(f"  moved    {key}\n    A {a[rec]}\n    B {b[rec]}")
-    for layer in sorted(moved):
+    for layer in sorted({k[0] for k in a.keys() | b.keys()}):
         print(f"{layer}: {len(moved[layer])} of {sum(k[0] == layer for k in a.keys() | b.keys())} records")
-        print("\n".join(moved[layer]))
+        if moved[layer]:
+            print("\n".join(moved[layer]))
     total = sum(map(len, moved.values()))
     print(f"{total} moved records ({len(a)} in A, {len(b)} in B)")
     return 1 if total else 0

@@ -1,0 +1,48 @@
+"""One pinned SHA-256 per `tests/fingerprint.py` layer.
+
+The records are those `python tests/fingerprint.py --out` writes for the
+named part of its corpus (the four fuzz makers' j < PINNED_FUZZ_COUNT and
+every named family, each with its float twin and every policy), which
+runs in about a second.  A full dump and `--compare` against a parent
+checkout lists what moved; this test only says which layer did.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import types
+
+import fingerprint
+from pathprophet import instances, model, oracle, policies, simulate
+
+PINNED_FUZZ_COUNT = 16
+API = types.SimpleNamespace(instances=instances, model=model, oracle=oracle, policies=policies, simulate=simulate)
+
+# SHA-256 of each layer's "key<TAB>repr" lines, in corpus order, taken at
+# commit 8c4dd8c, leaving out the records in MOVED
+DIGESTS = {
+    "oracle": "4d73dbe2cb24da0a47a9b09d839d9733cb5c43d7002621f3f4dc4fbd9241f953",
+    "online": "375e35fd90fe58cef6803f42064fba7d9e750711e1dcb1521c6a6835d14f517e",
+    "policy": "eaaaf854084d2d35227d5e50b59b5df361445c1022a76a6545f739f756891d0c",
+    "mc": "936a5529bf50cc2ff70c69dfab5541e8f3ae46c15ba9258d1a29a48bad2fb2db",
+}
+# (layer, key) -> repr of each record that moved on purpose since the
+# digests were taken; a change that moves a record adds it here
+MOVED: dict[tuple[str, str], str] = {}
+
+
+def test_fingerprint_layers_match_their_pinned_digests():
+    digests = {layer: hashlib.sha256() for layer in DIGESTS}
+    moved = {}
+    for key, inst, names in fingerprint.named_corpus(API, PINNED_FUZZ_COUNT):
+        for layer, rkey, text in fingerprint.records(API, key, inst, names):
+            if (layer, rkey) in MOVED:
+                moved[layer, rkey] = text
+            else:
+                digests[layer].update(f"{rkey}\t{text}\n".encode())
+    assert moved == MOVED
+    got = {layer: d.hexdigest() for layer, d in digests.items()}
+    if sys.version_info < (3, 11):  # statistics.stdev rounds MC standard errors differently before 3.11
+        del got["mc"]
+    assert got == {layer: DIGESTS[layer] for layer in got}

@@ -317,6 +317,25 @@ def test_chain_longer_than_the_recursion_limit_annotates():
     assert orc.edge_probabilities()[2 * (n - 2) + 1] == 0.5
 
 
+def test_exact_chain_longer_than_the_recursion_limit_annotates():
+    # the exact accumulation walks product order with one `itertools.product` row per tabled node
+    n = sys.getrecursionlimit() + 50
+    nodes = [f"v{i}" for i in range(n)]
+    edges = [(nodes[i], nodes[i + 1], ()) for i in range(n - 1) for _ in range(2)]
+    outcomes = {nodes[i]: [(Fraction(1), {2 * i: 1, 2 * i + 1: Fraction(1, 2)})] for i in range(n - 1)}
+    for i in (0, n - 2):
+        half = Fraction(1, 2)
+        outcomes[nodes[i]] = [(half, {2 * i: 1, 2 * i + 1: half}), (half, {2 * i: 0, 2 * i + 1: 2})]
+    inst = Instance.build(nodes, edges, outcomes=outcomes)
+    assert inst.exact
+    orc = Oracle(inst)
+    # the middle hops take value 1; the first and the last take 1 or 2, each with probability 1/2
+    assert orc.expected_opt() == annotation_reference(orc)[0] == n
+    assert type(orc.expected_opt()) is Fraction
+    assert orc.edge_probabilities()[1] == Fraction(1, 2)
+    assert orc.edge_probabilities()[2 * (n - 2) + 1] == Fraction(1, 2)
+
+
 def test_label_budget_and_arrival_states_are_capped_before_allocation():
     inst = many_binding_labels()
     with pytest.raises(StateCapError, match="label-budget states exceed cap"):
@@ -412,6 +431,54 @@ def test_oracle_statistics_match_the_golden_digest():
             digest.update(f"{key} {name} {text}\n".encode())
     assert moved == GOLDEN_MOVED
     assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+def assert_exactly_the_bruteforce_statistics(inst, spec=OPT):
+    """Every statistic of the exact accumulation equals brute force's in value and type (`repr`)."""
+    assert inst.exact
+    orc = Oracle(inst)
+    expected, x, cond, path_dist = offline_statistics(inst, spec.allowed, spec.fallback)
+    assert repr(orc.expected_opt(spec)) == repr(expected)
+    assert repr(orc.edge_probabilities(spec)) == repr(tuple(x))
+    assert {p: repr(m) for p, m in orc.path_distribution(spec).items()} == {p: repr(m) for p, m in path_dist.items()}
+    for name, rows in cond.items():
+        for o, law in enumerate(rows):
+            got = orc.conditional_choice_distribution(name, o, spec)
+            assert {k: repr(got[k]) for k in law} == {k: repr(v) for k, v in law.items()}
+            assert all(v == 0 for k, v in got.items() if k not in law)
+
+
+def test_exact_statistics_through_a_node_without_a_table():
+    # no bucket holds an edge out of a tableless node: its x still counts every path through it
+    inst = Instance.build(
+        ["s", "a", "t"],
+        [("s", "a", ()), ("a", "t", ())],
+        outcomes={"s": [(Fraction(1, 3), {0: 1}), (Fraction(2, 3), {0: Fraction(5, 2)})]},
+    )
+    assert_exactly_the_bruteforce_statistics(inst)
+    assert repr(Oracle(inst).edge_probabilities()) == "(Fraction(1, 1), Fraction(1, 1))"
+    # tableless "a" chooses between a->t and a->b->t, and a tie keeps the smaller edge ids
+    inst = Instance.build(
+        ["s", "a", "b", "t"],
+        [("s", "a", ()), ("s", "b", ()), ("a", "t", ()), ("b", "t", ()), ("a", "b", ())],
+        outcomes={
+            "s": [(Fraction(1, 3), {0: 1, 1: 0}), (Fraction(2, 3), {0: 0, 1: Fraction(1, 2)})],
+            "b": [(Fraction(1, 4), {3: 0}), (Fraction(3, 4), {3: 2})],
+        },
+    )
+    assert_exactly_the_bruteforce_statistics(inst)
+    x = Oracle(inst).edge_probabilities()
+    assert (x[2], x[4]) == (Fraction(1, 12), Fraction(1, 4))
+
+
+def test_exact_restricted_spec_with_a_fallback_matches_bruteforce():
+    inst = strands_fuzz(7)
+    fallback = all_feasible_paths(inst)[0]
+    spec = restricted_spec(frozenset(fallback) | {inst.edges[-1].id}, fallback)
+    orc = Oracle(inst)
+    # the fallback stands in for some realizations' best paths
+    assert any(not spec.allowed.issuperset(orc._dp.path(pid)) for pid in orc._best_ids)
+    assert_exactly_the_bruteforce_statistics(inst, spec)
 
 
 def test_expected_opt_stays_exact_on_int_valued_paths():
