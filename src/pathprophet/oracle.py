@@ -25,14 +25,17 @@ per offline spec; no list of realizations is ever built.
   by the realization's position in node-major `itertools.product`
   order, the order of `model.enumerate_realizations`.  That result does
   not depend on the spec, so every spec shares it.
-* Per spec, the accumulation walks the realizations in that product
-  order and maps each distinct path id through the spec.  On float and
-  mixed tables it adds each realization's mass `1 * p_0 * p_1 * ...`
-  to every bucket (expected value, `x`, path law, conditional laws)
-  with the same operations in the same order as a per-realization
-  loop, so float statistics are bit-identical to that loop.  The sum
-  of a path's values is chosen once per table from the types it holds,
-  not tested per realization.
+* Per spec, the accumulation maps each distinct path id through the
+  spec once, and walks the realizations beside the path ids with
+  `itertools.product` over each tabled node's law-bucket rows and,
+  through `math.prod`, its masses (`1 * p_0 * p_1 * ...`).  Only the
+  shared pass keeps an odometer: it must know which node moved.  On
+  float and mixed tables a realization's edge values come from
+  `product` over the DP's value rows, and its mass goes to every bucket
+  (expected value, `x`, path law, conditional laws) in the order of a
+  per-realization loop, so float statistics are bit-identical to that
+  loop.  `opt_path` and this loop add a path's values with one sum,
+  chosen per oracle from the types the table holds.
 * Exact tables (`Instance.exact`) run both passes on the integer
   numerators of `Instance.scale`, which compare and tie as the values
   do.  Integers add in any order, so a realization adds its mass only
@@ -124,11 +127,12 @@ class _BestPathDP:
     per edge id the child state per state, or None for an edge that uses
     no binding label) and every node's edge values per outcome (`values`)
     are built once.  `solve` fills every row for one set of edge values.
-    `opt_path` reads `values`, the online DP reads `cands` and `values`,
-    and the policies' exact engine and walker read `trans`.  The shared
-    pass and the annotation add `sums`: `values`, or for exact tables
-    their integer numerators.  A source without a live state is refused
-    here.  Callers check the state count first.
+    `opt_path` reads `values` at `place` (per kept edge: its node and
+    column in `out`), the online DP reads `cands` and `values`, and the
+    policies' exact engine and walker read `trans`.  The shared pass and
+    the annotation add `sums`: `values`, or for exact tables their
+    integer numerators.  A source without a live state is refused here.
+    Callers check the state count first.
     """
 
     def __init__(self, inst: Instance, active_labels: tuple[tuple[str, int], ...]):
@@ -157,6 +161,7 @@ class _BestPathDP:
             row = tuple((e.id, inst.node_index[e.dst]) for e in edges if inst.node_index[e.dst] > i)
             self.out.append(row)
             self.values.append([tuple([o.values.get(eid, 0) for eid, _ in row]) for o in inst.tables[i]] or [(0,) * len(row)])
+        self.place = {eid: (i, c) for i, row in enumerate(self.out) for c, (eid, _) in enumerate(row)}
         nums = inst.scale.nums if inst.exact else None
         self.sums = self.values if nums is None else [
             [tuple([nums[e][o] for e, _ in out]) for o in range(len(v))] for out, v in zip(self.out, self.values)
@@ -250,8 +255,16 @@ class Oracle:
         rows = [vals[o] for vals, o in zip(dp.values, choices)]
         _, prows = dp.solve(rows)
         edges = spec.select(dp.path(prows[0][0]))
-        value = {eid: v for out, vals in zip(dp.out, rows) for (eid, _), v in zip(out, vals)}
-        return PathSelection(edges, stable_sum(value[eid] for eid in edges))
+        return PathSelection(edges, self._path_sum([rows[i][c] for i, c in map(dp.place.__getitem__, edges)]))
+
+    @cached_property
+    def _path_sum(self):
+        """How a path's values add, by the types the table holds: exactly on ints and Fractions,
+        compensated on floats, by `stable_sum` (a type test per call) only where both mix."""
+        kinds = {type(v) for rows in self._dp.values for row in rows for v in row}
+        kinds |= {type(o.p) for table in self.inst.tables for o in table}
+        frac, flt = (any(issubclass(t, cls) for t in kinds) for cls in (Fraction, float))
+        return stable_sum if frac and flt else math.fsum if flt else sum
 
     @cached_property
     def _best_ids(self) -> array:
@@ -313,26 +326,29 @@ class Oracle:
         acc: list[float] = [0] * base[-1]
         column = {e.id: c for out in inst.out_edges for c, e in enumerate(out)}
         edge_src = [inst.node_index[e.src] for e in inst.edges]
-        # per distinct path id, first seen first: the spec's path, its slot
-        # among the distinct spec paths and its bucket column per tabled node
+        # per distinct path id, first seen first: the spec's path, its slot among the distinct
+        # spec paths, its bucket column per tabled node and per edge its (source node, value
+        # column): columns of `dp.out`, which drops an edge against node order
         chosen = {}
         slot: dict[tuple[int, ...], int] = {}
         for pid in dict.fromkeys(best):
             path = spec.select(dp.path(pid))
             at_node = {edge_src[eid]: column[eid] for eid in path}
             cols = tuple(at_node.get(i, w - 1) for i, w in zip(tabled, width))
-            chosen[pid] = (path, slot.setdefault(path, len(slot)), cols)
+            chosen[pid] = (path, slot.setdefault(path, len(slot)), cols, [dp.place[eid] for eid in path])
 
         xs: list[float] = [0] * len(inst.edges)
         path_mass: list[float] = [0] * len(slot)
+        # product order, the last tabled node fastest: each realization's path id,
+        # its law bucket rows and its mass `1 * p_0 * p_1 * ...`
+        rows = [range(base[k], base[k + 1], w) for k, w in enumerate(width)]
+        masses = [inst.scale.masses[i] if inst.exact else [o.p for o in inst.tables[i]] for i in tabled]
+        walk = zip(best, product(*rows), map(math.prod, product(*masses)))
         if inst.exact:
-            # integer masses add in any order: a realization adds its mass
-            # `p_0 * p_1 * ...` (over d = prod(mass_den)) only to its path's
-            # slot and its law buckets, walked in product order
-            rows = [range(base[k], base[k + 1], w) for k, w in enumerate(width)]
-            mass_of = map(math.prod, product(*[inst.scale.masses[i] for i in tabled]))
-            for pid, offsets, m in zip(best, product(*rows), mass_of):
-                _, p, cols = chosen[pid]
+            # integer masses (over d = prod(mass_den)) add in any order: a
+            # realization adds its mass only to its path's slot and its law buckets
+            for pid, offsets, m in walk:
+                _, p, cols, _ = chosen[pid]
                 path_mass[p] += m
                 for r, c in zip(offsets, cols):
                     acc[r + c] += m
@@ -351,48 +367,18 @@ class Oracle:
             xs = [Fraction(a, d) if a else 0 for a in xs]  # an untouched x stays the int 0 sums start from
             path_mass = [Fraction(m, d) for m in path_mass]
         else:
-            masses = [[o.p for o in t] for t in inst.tables]
-            # one path-value sum per table: exact on ints and Fractions, compensated on floats,
-            # `stable_sum` (a type test per path) only when floats and Fractions mix
-            kinds = {type(v) for rows in dp.sums for row in rows for v in row} | {type(p) for row in masses for p in row}
-            frac, flt = (any(issubclass(t, cls) for t in kinds) for cls in (Fraction, float))
-            add = stable_sum if frac and flt else math.fsum if flt else sum
-            last = len(tabled) - 1
-            sizes = [len(inst.tables[i]) for i in tabled]
-            at = [0] * len(tabled)
-            prefix = [1] * (len(tabled) + 1)  # prefix[k + 1] = 1 * p_0 * ... * p_k; int keeps Fraction exact
-            rows = [0] * len(tabled)  # bucket offset of each tabled node's current outcome
-            cur = [0] * len(inst.edges)  # the current realization's edge values
-
-            def settle(first: int) -> None:
-                for k in range(first, len(tabled)):
-                    i, o = tabled[k], at[k]
-                    prefix[k + 1] = prefix[k] * masses[i][o]
-                    rows[k] = base[k] + o * width[k]
-                    for (eid, _), v in zip(dp.out[i], dp.sums[i][o]):
-                        cur[eid] = v
-
-            settle(0)
-            value_of = cur.__getitem__
+            # floats add per realization, in product order; a realization's edge
+            # values are one row of `dp.sums` per node
+            add = self._path_sum
             value_terms = []
-            for pid in best:
-                path, p, cols = chosen[pid]
-                m = prefix[-1]
-                value_terms.append(m * add(map(value_of, path)))
+            for (pid, offsets, m), vals in zip(walk, product(*dp.sums)):
+                path, p, cols, where = chosen[pid]
+                value_terms.append(m * add([vals[i][c] for i, c in where]))
                 for eid in path:
                     xs[eid] += m
                 path_mass[p] += m
-                for r, c in zip(rows, cols):
+                for r, c in zip(offsets, cols):
                     acc[r + c] += m
-                # next realization in product order: the last node moves fastest
-                k = last
-                while k >= 0 and at[k] + 1 == sizes[k]:
-                    at[k] = 0
-                    k -= 1
-                if k >= 0:
-                    at[k] += 1
-                    settle(k)
-
             expected = stable_sum(value_terms)
         laws: dict[int, tuple[tuple[float, ...], ...]] = {}
         for k, i in enumerate(tabled):

@@ -21,9 +21,14 @@ Layers, each reached through public calls only:
   focal run's graph and spec), the expected value, `x`, the path law
   and every tabled node's choice-law rows;
 * `online`: the optimal online value;
+* `cover`: `min_path_cover` unseeded and for seeds 0, 1 and 2;
 * `policy`: width, bound, params, `exact_value()` and each focal run's
   acceptance rule (its schedule or feasibility table);
-* `mc`: a 60-trial `monte_carlo_estimate`.
+* `feas`: on each focal run under the labeled rule, exact and staged
+  Monte Carlo (10 trials, seed 11) `feasibility_probabilities`;
+* `mc`: a 60-trial `monte_carlo_estimate`;
+* `walk`: one recorded `sampler().run` on the stream of Monte Carlo
+  trial 0 (`derive_seed(11, "traj", 0)`).
 
 A refusal is recorded as its exception type and message.  `repr` tells
 `int`, `float` and `Fraction` apart, so a statistic that changes type
@@ -38,6 +43,7 @@ import argparse
 import importlib
 import json
 import os
+import random
 import sys
 import tempfile
 import types
@@ -49,6 +55,8 @@ WORKLOAD_SEEDS = (0, 1, 2)
 FUZZ_COUNT = 40
 MC_TRIALS = 60
 MC_SEED = 11
+FEAS_TRIALS = 10
+COVER_SEEDS = (None, 0, 1, 2)
 
 
 def _load(tree: str) -> types.SimpleNamespace:
@@ -121,6 +129,8 @@ def records(api, key: str, inst, policies: tuple[str, ...]):
     orc = api.oracle.Oracle(inst)
     yield from oracle_records(orc, api.oracle.OPT, inst.nodes, inst.tables, f"{key}|OPT")
     yield "online", key, _text(orc.optimal_online_value)
+    for seed in COVER_SEEDS:
+        yield "cover", f"{key}|seed={seed}", _text(lambda: api.cover.min_path_cover(inst, seed))
     for policy in policies:
         pkey = f"{key}|{policy}"
         try:
@@ -132,9 +142,15 @@ def records(api, key: str, inst, policies: tuple[str, ...]):
         yield "policy", f"{pkey}|exact_value", _text(prep.exact_value)
         for r, run in enumerate(prep.runs):
             yield "policy", f"{pkey}|run{r}|rule", repr((run.focal, run.rule))
+            if isinstance(run.rule, api.policies.FeasibilityProbs):
+                for mode in ("exact", "mc"):
+                    yield "feas", f"{pkey}|run{r}|{mode}", _text(lambda: api.policies.feasibility_probabilities(
+                        run.graph, run.focal, mode, oracle=run.oracle, trials=FEAS_TRIALS, seed=MC_SEED))
             graph = run.graph
             yield from oracle_records(run.oracle, run.spec, graph.nodes, graph.tables, f"{pkey}|run{r}")
         yield "mc", pkey, _text(lambda: api.simulate.monte_carlo_estimate(inst, policy, MC_TRIALS, MC_SEED, prepared=prep))
+        rng = random.Random(api.util.derive_seed(MC_SEED, "traj", 0))
+        yield "walk", pkey, _text(lambda: prep.sampler().run(rng))
 
 
 def write(tree: str, path: str) -> int:

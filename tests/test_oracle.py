@@ -284,11 +284,56 @@ def specs_of(inst, orc):
 REFERENCE_CORPUS = [maker(j) for maker in (width1_fuzz, labeled_fuzz, dag_fuzz, strands_fuzz) for j in range(12)]
 
 
-@pytest.mark.parametrize("twin", [False, True], ids=["fraction", "float"])
-def test_statistics_equal_the_per_realization_loop(twin):
+def unvalidated_tables():
+    """Tables off the integer numerators, built without validation, one per
+    case of the float and mixed accumulation."""
+    # s->a, s->b, a->t, a->b, b->t
+    graph = (["s", "a", "b", "t"], [("s", "a", ()), ("s", "b", ()), ("a", "t", ()), ("a", "b", ()), ("b", "t", ())])
+    third, zero = Fraction(1, 3), Fraction(0)
+    return [
+        # a->s runs against node order and is listed ahead of a's forward edges, so the DP
+        # drops it and a->b, a->t sit one column earlier in `dp.out` than in `out_edges`
+        Instance.build(
+            ["s", "a", "b", "t"],
+            [("s", "a", ()), ("s", "b", ()), ("a", "s", ()), ("a", "b", ()), ("a", "t", ()), ("b", "t", ())],
+            outcomes={
+                "s": [(0.25, {0: 1.0, 1: 0.5}), (0.75, {0: 0.25, 1: 1.5})],
+                "a": [(0.5, {2: 9.0, 3: 0.5, 4: 2.0}), (0.5, {2: 9.0, 3: 3.0, 4: 0.125})],
+                "b": [(0.375, {5: 1.0}), (0.625, {5: 0.0})],
+            },
+        ),
+        # floats around an inner node without a table, whose edges are worth the int 0
+        Instance.build(*graph, outcomes={
+            "s": [(0.1, {0: 0.3, 1: 0.7}), (0.9, {0: 1.1, 1: 0.2})],
+            "b": [(0.3, {4: 0.6}), (0.7, {4: 0.0})],
+        }),
+        # Fractions and floats mixed: a path's values add by `stable_sum`
+        Instance.build(*graph, outcomes={
+            "s": [(third, {0: 0.5, 1: third}), (1 - third, {0: Fraction(3, 4), 1: 0.1})],
+            "a": [(0.4, {2: Fraction(5, 2), 3: 0.3}), (0.6, {2: 0.0, 3: Fraction(7, 3)})],
+            "b": [(third, {4: 0.6}), (1 - third, {4: Fraction(1, 2)})],
+        }),
+        # int masses (one of them 0) with Fraction values: a path's values add by `sum`
+        Instance.build(*graph, outcomes={
+            "s": [(1, {0: Fraction(1, 2), 1: 1})],
+            "a": [(0, {2: 0, 3: 5}), (1, {2: 2, 3: third})],
+            "b": [(1, {4: Fraction(5, 4)})],
+        }),
+        # a Fraction table with a zero mass
+        Instance.build(*graph, outcomes={
+            "s": [(third, {0: 1, 1: 2}), (1 - third, {0: Fraction(1, 2), 1: 0}), (zero, {0: 5, 1: 5})],
+            "a": [(Fraction(1, 4), {2: 1, 3: 0}), (Fraction(3, 4), {2: 0, 3: Fraction(3, 2)})],
+            "b": [(Fraction(1), {4: 2})],
+        }),
+    ]
+
+
+@pytest.mark.parametrize("corpus", ["fraction", "float", "unvalidated"])
+def test_statistics_equal_the_per_realization_loop(corpus):
+    cases = unvalidated_tables() if corpus == "unvalidated" else REFERENCE_CORPUS
     restricted = 0
-    for inst in REFERENCE_CORPUS:
-        inst = json_twin(inst) if twin else inst
+    for inst in cases:
+        inst = json_twin(inst) if corpus == "float" else inst
         orc = Oracle(inst)
         for spec in specs_of(inst, orc):
             restricted += spec.allowed is not None
@@ -299,7 +344,8 @@ def test_statistics_equal_the_per_realization_loop(twin):
             for name, rows in cond.items():
                 for o, law in enumerate(rows):
                     assert orc.conditional_choice_distribution(name, o, spec) == law
-    assert restricted >= 12  # every strands instance has a plan
+    # every strands instance has a plan, and so does every unvalidated table
+    assert restricted >= (len(cases) if corpus == "unvalidated" else 12)
 
 
 def test_chain_longer_than_the_recursion_limit_annotates():
@@ -315,6 +361,8 @@ def test_chain_longer_than_the_recursion_limit_annotates():
     assert orc.expected_opt() == annotation_reference(orc)[0]
     assert orc.edge_probabilities()[1] == 0.5
     assert orc.edge_probabilities()[2 * (n - 2) + 1] == 0.5
+    # every realization's path holds the floats 1.0 and 2.0, and scores the float fsum gives
+    assert [repr(orc.opt_path([o] + [0] * (n - 1)).value) for o in (0, 1)] == [repr(n - 1.0), repr(n + 0.0)]
 
 
 def test_exact_chain_longer_than_the_recursion_limit_annotates():
@@ -334,6 +382,8 @@ def test_exact_chain_longer_than_the_recursion_limit_annotates():
     assert type(orc.expected_opt()) is Fraction
     assert orc.edge_probabilities()[1] == Fraction(1, 2)
     assert orc.edge_probabilities()[2 * (n - 2) + 1] == Fraction(1, 2)
+    # every realization's path holds the ints 1 and 2 and scores an int, as the expected value is exact
+    assert [repr(orc.opt_path([o] + [0] * (n - 1)).value) for o in (0, 1)] == [repr(n - 1), repr(n)]
 
 
 def test_label_budget_and_arrival_states_are_capped_before_allocation():
