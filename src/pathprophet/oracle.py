@@ -27,24 +27,25 @@ per offline spec; no list of realizations is ever built.
   not depend on the spec, so every spec shares it.
 * Per spec, the accumulation maps each distinct path id through the
   spec once, and walks the realizations beside the path ids with
-  `itertools.product` over each tabled node's law-bucket rows and,
-  through `math.prod`, its masses (`1 * p_0 * p_1 * ...`).  Only the
-  shared pass keeps an odometer: it must know which node moved.  On
-  float and mixed tables a realization's edge values come from
-  `product` over the DP's value rows, and its mass goes to every bucket
-  (expected value, `x`, path law, conditional laws) in the order of a
-  per-realization loop, so float statistics are bit-identical to that
-  loop.  `opt_path` and this loop add a path's values with one sum,
-  chosen per oracle from the types the table holds.
+  `itertools.product` over each tabled node's law-bucket rows (a list
+  per outcome: a column per out-edge, then None) and, via `math.prod`,
+  its masses (`1 * p_0 * p_1 * ...`).  Only the shared pass keeps an
+  odometer: it must know which node moved.  On float and mixed tables
+  a realization's edge values come from `product` over the DP's value
+  rows, and its mass goes to every bucket (expected value, `x`, path
+  law, conditional laws) in the order of a per-realization loop, so
+  float statistics are bit-identical to that loop.  `opt_path` and
+  this loop add a path's values with one sum, chosen per oracle from
+  the types the table holds.
 * Exact tables (`Instance.exact`) run both passes on the integer
   numerators of `Instance.scale`, which compare and tie as the values
   do.  Integers add in any order, so a realization adds its mass only
   to its path's slot in the path law and to its conditional-law
   buckets; `x[e]` is then the mass of the spec paths through e, and the
-  expected value is the sum of each value numerator times its bucket.
-  Each statistic becomes one canonical `Fraction` at the end, the one
-  `Fraction` arithmetic gives.  Float and mixed tables run on their own
-  numbers.
+  expected value is the sum of each row of value numerators times its
+  bucket row.  Each statistic becomes one canonical `Fraction` at the
+  end, the one `Fraction` arithmetic gives.  Float and mixed tables run
+  on their own numbers.
 
 `opt_path` scores one given realization with the same DP rows, and the
 online DP backs up expected values over them.  A source with no live
@@ -116,23 +117,25 @@ class _BestPathDP:
 
     A capacity state is a mixed-radix index over the binding labels'
     remaining capacities; `full`, the last index, has every label at
-    capacity.  Row i has one entry per live state of node i (reachable
-    from the source at `full`, with the sink in reach): the best value
-    from node i to the sink and an interned path id.  Its choices
-    (`cands`: column in `out[i]`, dst index, dst's entry; built once, in
-    ascending edge id) are the edges to a live child state.  A value is
-    `values[e] + best[dst]` and ties keep the lower edge id (strict `>`
-    over ascending ids), so the source's path is the
-    lexicographically smallest best one.  The label transitions (`trans`:
-    per edge id the child state per state, or None for an edge that uses
-    no binding label) and every node's edge values per outcome (`values`)
-    are built once.  `solve` fills every row for one set of edge values.
-    `opt_path` reads `values` at `place` (per kept edge: its node and
-    column in `out`), the online DP reads `cands` and `values`, and the
-    policies' exact engine and walker read `trans`.  The shared pass and
-    the annotation add `sums`: `values`, or for exact tables their
-    integer numerators.  A source without a live state is refused here.
-    Callers check the state count first.
+    capacity.  `out[i]` lists node i's out-edges in `inst.out_edges`
+    order, the one column order of the oracle's tables, and `place` maps
+    an edge id to its node and column.  Row i has one entry per live
+    state of node i (reachable from the source at `full`, with the sink
+    in reach): the best value from node i to the sink and an interned
+    path id.  Its choices (`cands`: column, dst index, dst's entry; built
+    once, in ascending edge id) are the edges to a live state of a later
+    node, so an edge against node order is on no path.  A value is
+    `values[e] + best[dst]` and ties keep the lower edge id (strict `>`),
+    so the source's path is the lexicographically smallest best one.
+    The label transitions (`trans`: per edge id the child state per
+    state, or None for an edge that uses no binding label) and every
+    node's edge values per outcome (`values`) are built once.  `solve`
+    fills every row for one set of edge values.  `opt_path` and the
+    annotation read `values` at `place`, the online DP reads `cands` and
+    `values`, and the policies' exact engine and walker read `trans`.
+    The shared pass and the annotation add `sums`: `values`, or for exact
+    tables their integer numerators.  A source without a live state is
+    refused here; callers check the state count first.
     """
 
     def __init__(self, inst: Instance, active_labels: tuple[tuple[str, int], ...]):
@@ -151,16 +154,12 @@ class _BestPathDP:
                 continue
             drop = sum([s for s, _ in need])
             self.trans.append(tuple([st - drop if all([st // s % r for s, r in need]) else None for st in range(n_states)]))
-        # out[i]: (edge id, dst index), ascending edge id
-        self.out: list[tuple[tuple[int, int], ...]] = []
-        # values[i][o]: node i's edge values in outcome o, aligned with out[i];
-        # int 0 for a value the outcome leaves out and at a node without a table
-        self.values: list[tuple[tuple[float, ...], ...]] = []
-        for i, edges in enumerate(inst.out_edges):
-            # an edge against node order (validation refuses it) is on no path the DP builds
-            row = tuple((e.id, inst.node_index[e.dst]) for e in edges if inst.node_index[e.dst] > i)
-            self.out.append(row)
-            self.values.append([tuple([o.values.get(eid, 0) for eid, _ in row]) for o in inst.tables[i]] or [(0,) * len(row)])
+        # out[i]: (edge id, dst index) per out-edge of node i, in `inst.out_edges` order
+        self.out = [tuple([(e.id, inst.node_index[e.dst]) for e in edges]) for edges in inst.out_edges]
+        # values[i][o]: node i's edge values in outcome o, aligned with out[i]; int 0 for a value the outcome
+        # leaves out, at a node without a table and on an edge against node order (validation refuses it)
+        self.values = [[tuple([o.values.get(eid, 0) if j > i else 0 for eid, j in row]) for o in table]
+                       or [(0,) * len(row)] for i, (row, table) in enumerate(zip(self.out, inst.tables))]
         self.place = {eid: (i, c) for i, row in enumerate(self.out) for c, (eid, _) in enumerate(row)}
         nums = inst.scale.nums if inst.exact else None
         self.sums = self.values if nums is None else [
@@ -171,14 +170,16 @@ class _BestPathDP:
         reach[0].add(self.full)
         for i, edges in enumerate(self.out):
             for eid, j in edges:
-                t = trans[eid]
-                reach[j] |= reach[i] if t is None else {t[s] for s in reach[i]} - {None}
+                if j > i:
+                    t = trans[eid]
+                    reach[j] |= reach[i] if t is None else {t[s] for s in reach[i]} - {None}
         entry: list[dict[int, int]] = [{} for _ in self.out]  # node -> live state -> its entry
         self.cands: list[tuple[tuple[tuple[int, int, int], ...], ...]] = [()] * len(self.out)
         for i in range(len(self.out) - 1, -1, -1):
             rows = []
             for s in sorted(reach[i]):
-                nxt = [(col, j, s if trans[eid] is None else trans[eid][s]) for col, (eid, j) in enumerate(self.out[i])]
+                nxt = [(col, j, s if trans[eid] is None else trans[eid][s])
+                       for col, (eid, j) in enumerate(self.out[i]) if j > i]
                 choices = tuple((col, j, entry[j][c]) for col, j, c in nxt if c in entry[j])
                 if choices or i == len(self.out) - 1:  # the sink's entries end every path
                     entry[i][s] = len(rows)
@@ -316,52 +317,41 @@ class Oracle:
         dp = self._dp
         inst = self.inst
         tabled = [i for i, table in enumerate(inst.tables) if table]
-        # conditional-law buckets: per node with a table a block of rows,
-        # one per outcome, with a column per out-edge in order and one
-        # for None (the path avoids the node)
-        width = [len(inst.out_edges[i]) + 1 for i in tabled]
-        base = [0]
-        for k, i in enumerate(tabled):
-            base.append(base[k] + len(inst.tables[i]) * width[k])
-        acc: list[float] = [0] * base[-1]
-        column = {e.id: c for out in inst.out_edges for c, e in enumerate(out)}
-        edge_src = [inst.node_index[e.src] for e in inst.edges]
         # per distinct path id, first seen first: the spec's path, its slot among the distinct
-        # spec paths, its bucket column per tabled node and per edge its (source node, value
-        # column): columns of `dp.out`, which drops an edge against node order
+        # spec paths, its bucket column per tabled node and per edge its (node, column)
         chosen = {}
         slot: dict[tuple[int, ...], int] = {}
         for pid in dict.fromkeys(best):
             path = spec.select(dp.path(pid))
-            at_node = {edge_src[eid]: column[eid] for eid in path}
-            cols = tuple(at_node.get(i, w - 1) for i, w in zip(tabled, width))
-            chosen[pid] = (path, slot.setdefault(path, len(slot)), cols, [dp.place[eid] for eid in path])
+            where = [dp.place[eid] for eid in path]
+            at_node = dict(where)
+            cols = tuple([at_node.get(i, len(dp.out[i])) for i in tabled])
+            chosen[pid] = (path, slot.setdefault(path, len(slot)), cols, where)
 
         xs: list[float] = [0] * len(inst.edges)
         path_mass: list[float] = [0] * len(slot)
+        # conditional-law buckets: per tabled node one row per outcome, with a column
+        # per out-edge in order and one for None (the path avoids the node)
+        buckets = [[[0] * (len(dp.out[i]) + 1) for _ in inst.tables[i]] for i in tabled]
         # product order, the last tabled node fastest: each realization's path id,
-        # its law bucket rows and its mass `1 * p_0 * p_1 * ...`
-        rows = [range(base[k], base[k + 1], w) for k, w in enumerate(width)]
+        # its bucket rows and its mass `1 * p_0 * p_1 * ...`
         masses = [inst.scale.masses[i] if inst.exact else [o.p for o in inst.tables[i]] for i in tabled]
-        walk = zip(best, product(*rows), map(math.prod, product(*masses)))
+        walk = zip(best, product(*buckets), map(math.prod, product(*masses)))
         if inst.exact:
             # integer masses (over d = prod(mass_den)) add in any order: a
             # realization adds its mass only to its path's slot and its law buckets
-            for pid, offsets, m in walk:
+            for pid, rows, m in walk:
                 _, p, cols, _ = chosen[pid]
                 path_mass[p] += m
-                for r, c in zip(offsets, cols):
-                    acc[r + c] += m
+                for row, c in zip(rows, cols):
+                    row[c] += m
             # x[e]: the mass of the spec paths through e; the expected value:
-            # each value numerator times its bucket, over d * den
+            # each `dp.sums` row times its bucket row, over d * den
             for path, m in zip(slot, path_mass):
                 for eid in path:
                     xs[eid] += m
-            nums = inst.scale.nums
-            total = sum(
-                [nums[e.id][o] * acc[r + c] for k, i in enumerate(tabled)
-                 for o, r in enumerate(rows[k]) for c, e in enumerate(inst.out_edges[i])]
-            )
+            total = sum([n * a for i, rows in zip(tabled, buckets)
+                         for nums, row in zip(dp.sums[i], rows) for n, a in zip(nums, row)])
             d = math.prod(inst.scale.mass_den)
             expected = Fraction(total, d * inst.scale.den)
             xs = [Fraction(a, d) if a else 0 for a in xs]  # an untouched x stays the int 0 sums start from
@@ -371,27 +361,26 @@ class Oracle:
             # values are one row of `dp.sums` per node
             add = self._path_sum
             value_terms = []
-            for (pid, offsets, m), vals in zip(walk, product(*dp.sums)):
+            for (pid, rows, m), vals in zip(walk, product(*dp.sums)):
                 path, p, cols, where = chosen[pid]
                 value_terms.append(m * add([vals[i][c] for i, c in where]))
                 for eid in path:
                     xs[eid] += m
                 path_mass[p] += m
-                for r, c in zip(offsets, cols):
-                    acc[r + c] += m
+                for row, c in zip(rows, cols):
+                    row[c] += m
             expected = stable_sum(value_terms)
         laws: dict[int, tuple[tuple[float, ...], ...]] = {}
-        for k, i in enumerate(tabled):
-            w = width[k]
+        for i, rows in zip(tabled, buckets):
             law_rows = []
-            for start, o in zip(range(base[k], base[k + 1], w), inst.tables[i]):
-                p, bucket = o.p, acc[start : start + w]
+            for o, bucket in zip(inst.tables[i], rows):
+                p = o.p
                 if inst.exact:  # every mass positive; (a / d) / p as one Fraction, and an untouched
                     # bucket keeps `0 / p`: Fraction(0, 1), or the float 0.0 under an int mass
                     zero, num, den = 0 / p, p.denominator, d * p.numerator
                     law_rows.append(tuple([Fraction(a * num, den) if a else zero for a in bucket]))
                 else:
-                    law_rows.append(tuple([a / p for a in bucket]) if p > 0 else (0,) * (w - 1) + (1,))
+                    law_rows.append(tuple([a / p for a in bucket]) if p > 0 else (0,) * (len(bucket) - 1) + (1,))
             laws[i] = tuple(law_rows)
         data = _SpecData(expected, tuple(xs), laws, dict(zip(slot, path_mass)))
         self._specs[spec] = data

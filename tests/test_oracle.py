@@ -291,8 +291,8 @@ def unvalidated_tables():
     graph = (["s", "a", "b", "t"], [("s", "a", ()), ("s", "b", ()), ("a", "t", ()), ("a", "b", ()), ("b", "t", ())])
     third, zero = Fraction(1, 3), Fraction(0)
     return [
-        # a->s runs against node order and is listed ahead of a's forward edges, so the DP
-        # drops it and a->b, a->t sit one column earlier in `dp.out` than in `out_edges`
+        # a->s runs against node order and is listed ahead of a's forward edges: the DP keeps
+        # it in column 0 of `dp.out`, as `out_edges` does, and its `j > i` guard keeps it off paths
         Instance.build(
             ["s", "a", "b", "t"],
             [("s", "a", ()), ("s", "b", ()), ("a", "s", ()), ("a", "b", ()), ("a", "t", ()), ("b", "t", ())],
@@ -346,6 +346,29 @@ def test_statistics_equal_the_per_realization_loop(corpus):
                     assert orc.conditional_choice_distribution(name, o, spec) == law
     # every strands instance has a plan, and so does every unvalidated table
     assert restricted >= (len(cases) if corpus == "unvalidated" else 12)
+
+
+def test_an_edge_against_node_order_adds_no_source_state():
+    """a->s[L] runs back into the source.  Were it followed, the source
+    would be reached with L spent too and get a second DP entry, read
+    first; `annotation_reference` runs the same DP, so the statistics
+    are pinned by hand here."""
+    inst = Instance.build(
+        ["s", "a", "t"],
+        [("s", "a", ()), ("s", "a", ("L",)), ("a", "s", ("L",)), ("a", "t", ()), ("a", "t", ("L",))],
+        labels={"L": 1},
+        outcomes={
+            "s": [(0.5, {0: 0.5, 1: 1.0}), (0.5, {0: 0.5, 1: 0.25})],
+            "a": [(0.25, {2: 8.0, 3: 0.5, 4: 2.0}), (0.75, {2: 8.0, 3: 1.0, 4: 0.5})],
+        },
+    )
+    orc = Oracle(inst)
+    assert len(orc._dp.cands[0]) == 1
+    # best paths per (s, a) outcome: e0 e4 = 2.5, e1 e3 = 2.0, e0 e4 = 2.5, e0 e3 = 1.5
+    assert orc.expected_opt() == 1.9375
+    assert orc.edge_probabilities() == (0.625, 0.375, 0, 0.75, 0.25)
+    assert orc.choice_laws("s") == ((0.25, 0.75, 0.0), (1.0, 0.0, 0.0))
+    assert orc.choice_laws("a") == ((0.0, 0.0, 1.0, 0.0), (0.0, 1.0, 0.0, 0.0))
 
 
 def test_chain_longer_than_the_recursion_limit_annotates():
