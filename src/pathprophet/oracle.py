@@ -13,24 +13,29 @@ live capacity states and the label-budget state cap check.
 Exact statistics take one shared pass per oracle and one accumulation
 per offline spec; no list of realizations is ever built.
 
-* The shared pass runs the best-path DP (`_BestPathDP`) once per
-  realization suffix.  Row i of the DP depends only on the outcomes at
-  nodes i..n-1, so the pass walks the realizations with an odometer
-  whose fastest digit is the lowest-index node with an outcome table:
-  a step that moves node h recomputes rows h..0 and keeps the rows
-  above.  Rows have entries only at capacity states reachable from the
-  source at full capacity, each looping over choices built once per
-  oracle.  It stores each realization's unrestricted best path as one
-  interned path id in a flat array (8 bytes per realization), indexed
-  by the realization's position in node-major `itertools.product`
-  order, the order of `model.enumerate_realizations`.  That result does
-  not depend on the spec, so every spec shares it.
+* The shared pass computes each distinct row of the best-path DP
+  (`_BestPathDP.row`) once.  Row i depends only on node i's outcome and
+  the rows of the nodes it points to, so the pass walks the nodes from
+  the sink up and gives each suffix realization (outcomes at nodes
+  i..n-1) a class: its row, the same for two rows whose values agree in
+  value and type and whose path ids agree.  A row is computed once per
+  outcome of node i and distinct combination of successor classes, and
+  C-level `map` and array repetition spread the classes over the
+  suffix realizations; a node's classes are freed once the last node
+  that reads them is done.  The gain rests on rows that repeat across
+  suffix realizations, as on discrete tables; where none repeat, the
+  pass computes as many rows as an odometer.  Below
+  `DISTINCT_ROWS_FROM` realizations an odometer walks them instead: the
+  lowest-index tabled node moves fastest, and a step that moves node h
+  recomputes rows h..0.  The pass stores each realization's best path
+  as one interned path id in a flat array (1, 2 or 8 bytes each), in
+  node-major `itertools.product` order, the order of
+  `model.enumerate_realizations`.  Every spec shares it.
 * Per spec, the accumulation maps each distinct path id through the
   spec once, and walks the realizations beside the path ids with
   `itertools.product` over each tabled node's law-bucket rows (a list
   per outcome: a column per out-edge, then None) and, via `math.prod`,
-  its masses (`1 * p_0 * p_1 * ...`).  Only the shared pass keeps an
-  odometer: it must know which node moved.  On float and mixed tables
+  its masses (`1 * p_0 * p_1 * ...`).  On float and mixed tables
   a realization's edge values come from `product` over the DP's value
   rows, and its mass goes to every bucket (expected value, `x`, path
   law, conditional laws) in the order of a per-realization loop, so
@@ -61,12 +66,23 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, product, repeat
+from operator import itemgetter, mul
 from typing import Sequence
 
 from .errors import InvalidInstanceError
 from .model import Instance, active_label_caps, enumeration_size, sample_realization
 from .util import check_state_cap, stable_sum, trial_streams
+
+# Below this many realizations the odometer pass is faster: over the seed-0 benchmark tables, both passes
+# timed on fresh oracles (fastest of 11, two runs), the distinct-row pass took a median 2.4x the odometer's
+# time at 8-15 realizations, 1.06x-1.08x at 64-127, 0.98x-1.03x at 128-255 and 0.37x-0.70x above.
+DISTINCT_ROWS_FROM = 128
+
+
+def _typecode(count: int) -> str:
+    """An array type that holds 0..count-1: one byte, two, or eight."""
+    return "B" if count <= 1 << 8 else "H" if count <= 1 << 16 else "q"
 
 
 @dataclass(frozen=True)
@@ -130,12 +146,14 @@ class _BestPathDP:
     The label transitions (`trans`: per edge id the child state per
     state, or None for an edge that uses no binding label) and every
     node's edge values per outcome (`values`) are built once.  `solve`
-    fills every row for one set of edge values.  `opt_path` and the
-    annotation read `values` at `place`, the online DP reads `cands` and
-    `values`, and the policies' exact engine and walker read `trans`.
-    The shared pass and the annotation add `sums`: `values`, or for exact
-    tables their integer numerators.  A source without a live state is
-    refused here; callers check the state count first.
+    fills every row for one set of edge values; `row` fills one from the
+    rows of later nodes, once per distinct row in the shared pass.
+    `opt_path` and the annotation read `values` at `place`, the online
+    DP reads `cands` and `values`, and the policies' exact engine and
+    walker read `trans`.  The shared pass and the annotation add `sums`:
+    `values`, or for exact tables their integer numerators.  A source
+    without a live state is refused here; callers check the state count
+    first.
     """
 
     def __init__(self, inst: Instance, active_labels: tuple[tuple[str, int], ...]):
@@ -272,6 +290,52 @@ class Oracle:
         """The shared pass: each realization's unrestricted best path id,
         indexed by its position in node-major product order."""
         count = enumeration_size(self.inst)
+        return self._distinct_row_ids() if count >= DISTINCT_ROWS_FROM else self._odometer_ids(count)
+
+    def _distinct_row_ids(self) -> array:
+        """The shared pass by classes, from the sink up: each distinct row
+        is computed once, per node outcome and successor classes."""
+        dp = self._dp
+        n = len(dp.out)
+        size = [*accumulate(map(len, reversed(dp.sums)), mul, initial=1)][::-1]  # size[h]: nodes h..n-1's realizations
+        succ = [sorted({j for choices in rows for _, j, _ in choices}) for rows in dp.cands]
+        last = {j: h for h in range(n - 1, -1, -1) for j in succ[h]}  # the last node that reads j's classes
+        ids = [itemgetter(slice(len(rows), 2 * len(rows))) for rows in dp.cands]  # a class key's path ids
+        # per node: per class its key (its row's values, path ids and value types), and per suffix
+        # realization its class
+        keys, cls, vrows, prows = ([None] * n for _ in range(4))
+        keys[-1], cls[-1] = [(0,) * (2 * len(dp.cands[-1]))], array("B", [0]) * size[-2]
+        for h in filter(dp.cands.__getitem__, range(n - 2, -1, -1)):  # the nodes with live entries
+            # per suffix realization of nodes h+1..n-1, its combination of successor classes (`code`, into
+            # `listed` if there are several); per combination, each successor's (node, values, path ids)
+            cols = [cls[j] if size[j] == size[h + 1] else cls[j] * (size[h + 1] // size[j]) for j in succ[h]]
+            j, listed, code = succ[h][0], None, cols[0]
+            if len(cols) > 1:
+                index = dict.fromkeys(zip(*cols))
+                listed = [tuple([(k, keys[k][c], ids[k](keys[k][c])) for k, c in zip(succ[h], key)]) for key in index]
+                index.update(zip(index, range(len(index))))
+                code = array(_typecode(len(index)), map(index.__getitem__, zip(*cols)))
+            classes, per_outcome = {}, []  # per outcome of node h: per combination its class (at the source: path id)
+            for vals in dp.sums[h]:
+                new = []
+                for combo in listed or zip(zip(repeat(j), keys[j], map(ids[j], keys[j]))):
+                    for k, row_v, row_p in combo:  # each successor's row in this combination
+                        vrows[k], prows[k] = row_v, row_p
+                    dp.row(h, vals, vrows, prows)
+                    v = vrows[h]
+                    new.append(classes.setdefault((*v, *prows[h], *map(type, v)), len(classes)) if h else prows[0][0])
+                per_outcome.append(new)
+            cls[h] = array(_typecode(len(classes) if h else len(dp.links)))
+            for new in per_outcome:
+                cls[h].extend(map(new.__getitem__, code))
+            keys[h] = list(classes)
+            for k in succ[h]:
+                if last[k] == h:
+                    keys[k] = cls[k] = None
+        return cls[0]
+
+    def _odometer_ids(self, count: int) -> array:
+        """The shared pass by an odometer over the realizations."""
         dp = self._dp
         n = len(dp.out)
         tables = self.inst.tables

@@ -67,6 +67,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cache
 from typing import Any, NamedTuple, Sequence
 
@@ -176,13 +177,15 @@ def alpha_schedule(
     m = len(focal)
     alphas = []
     visits = []
+    hi = 1 - q + 1e-9  # a float; a Fraction sum meets it converted once per call, not once per comparison
+    exact_hi = Fraction.from_float(hi) if inst.exact else hi
     for i in range(m + 1):
         skipped = stable_sum(
             x[e.id]
             for e in inst.edges
             if e.src in pos and e.dst in pos and pos[e.src] < i < pos[e.dst]
         )
-        if skipped > 1 - q + 1e-9:
+        if skipped > (exact_hi if isinstance(skipped, Fraction) else hi):
             raise ScheduleError(
                 "x/q inconsistent with focal path: "
                 f"mass {float(skipped):.6g} skips {order[i]!r} but 1-q is {float(1 - q):.6g}"
@@ -378,9 +381,10 @@ def feasibility_probabilities(
     divisor = inst.max_labels_per_edge + 2
     if mode == "exact":
         stats = evaluate_focal_policy(inst, focal, oracle)
-        floor = 1 / divisor
+        low = 1 / divisor - 1e-9  # a float; a Fraction p(e) meets it converted once per call
+        exact_low = Fraction.from_float(low) if inst.exact else low
         for eid, pe in stats.feasibility.items():
-            if pe < floor - 1e-9:
+            if pe < (exact_low if isinstance(pe, Fraction) else low):
                 raise PolicyError(
                     f"exact p({eid})={float(pe):.12g} fell below 1/(d+2); "
                     "the offline probabilities are inconsistent"

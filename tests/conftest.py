@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from pathprophet import Instance, generate_random_instance
+import json
+
+from pathprophet import Instance, generate_random_instance, instance_from_dict, instance_to_dict
 
 
 def width1_fuzz(j: int, d: int = 0) -> Instance:
@@ -25,6 +27,11 @@ def strands_fuzz(j: int) -> Instance:
     return generate_random_instance(
         j, shape="strands", n_nodes=4 + j % 4, max_outcomes=1 + j % 3, d=0
     )
+
+
+def float_twin(inst: Instance) -> Instance:
+    """What a file user gets: the instance through JSON, Fractions as floats."""
+    return instance_from_dict(json.loads(json.dumps(instance_to_dict(inst), default=float)))
 
 
 def diamond() -> Instance:

@@ -27,11 +27,14 @@ from pathprophet import (
     exact_policy_value,
     expected_opt,
     generate_paper_instance,
+    generate_random_instance,
     instance_from_dict,
     instance_to_dict,
+    min_path_cover,
+    realization_count,
     restricted_spec,
 )
-from pathprophet.oracle import OPT
+from pathprophet.oracle import DISTINCT_ROWS_FROM, OPT
 
 from bruteforce import (
     all_feasible_paths,
@@ -42,7 +45,7 @@ from bruteforce import (
     offline_statistics,
     online_value,
 )
-from conftest import dag_fuzz, diamond, labeled_fuzz, many_binding_labels, strands_fuzz, width1_fuzz
+from conftest import dag_fuzz, diamond, float_twin, labeled_fuzz, many_binding_labels, strands_fuzz, width1_fuzz
 
 
 FUZZ = (
@@ -86,16 +89,41 @@ def unreachable_states():
     )
 
 
+def distinct_rows_chain(n: int) -> Instance:
+    """A chain of n two-outcome nodes, one edge each, whose DP rows never
+    repeat: node i's outcomes are worth 4^i / 3 and 2 * 4^i / 3, so each
+    suffix realization's value is its own base-4 number."""
+    nodes = [f"v{i}" for i in range(n + 1)]
+    half = Fraction(1, 2)
+    outcomes = {nodes[i]: [(half, {i: Fraction(k * 4**i, 3)}) for k in (1, 2)] for i in range(n)}
+    return Instance.build(nodes, [(a, b, ()) for a, b in zip(nodes, nodes[1:])], outcomes=outcomes)
+
+
 def test_shared_pass_matches_bruteforce_per_realization():
     labeled = unreachable_states()
     dp = Oracle(labeled)._dp
     assert [len(rows) for rows in dp.cands[1:3]] == [2, 2] and dp.n_states == 4
-    for inst in [*FUZZ, labeled]:
+    # a width-2 dag with two binding labels, whose inner nodes reach 1, 2 or 4 of the 6 capacity states
+    dag = generate_random_instance(37, "dag", 8, 3, 2)
+    dp = Oracle(dag)._dp
+    assert min_path_cover(dag).width == 2 and dp.n_states == 6
+    assert sorted({len(rows) for rows in dp.cands[1:-1]}) == [1, 2, 4]
+    # markets(4) as the benchmark builds it: skip edges, a one-outcome source, 1024 realizations
+    fixed, one = [(1, Fraction(1, 2))], [(Fraction(1, 4), 0), (Fraction(3, 4), 1)]
+    two = [(Fraction(1, 2), 0), (Fraction(1, 2), 3)]
+    markets = generate_paper_instance("markets", periods=4, dists=[(fixed, two)] * 2 + [(one, two)] * 2)
+    chain = distinct_rows_chain(8)
+    assert len({sum(values) for _, values, _ in iter_realizations(chain)}) == 2**8
+    large = [generate_paper_instance("mchoice", n=9, m=3), markets, dag, chain]
+    assert min(map(realization_count, large)) >= DISTINCT_ROWS_FROM  # `_best_ids` runs the distinct-row pass
+    for inst in [*FUZZ, labeled, *large, *map(float_twin, large)]:
         orc = Oracle(inst)
         paths = all_feasible_paths(inst)
         best = orc._best_ids
         realizations = list(iter_realizations(inst))  # product order, like the shared pass
         assert len(best) == len(realizations)
+        # on one oracle both passes intern the same paths under the same ids
+        assert orc._distinct_row_ids() == best == orc._odometer_ids(len(best))
         for pid, (_, values, _) in zip(best, realizations):
             assert orc._dp.path(pid) == best_feasible_path(paths, values)[0]
 
