@@ -53,10 +53,11 @@ per offline spec; no list of realizations is ever built.
   on their own numbers.
 
 `opt_path` scores one given realization with the same DP rows, and the
-online DP backs up expected values over them.  A source with no live
-entry is refused once, when the DP is built.  The policies read the
-oracle's own tables: the DP's label transitions and states, and per
-spec the choice-law rows (`choice_laws`).
+online DP backs up expected values over them, on integer numerators
+where every term is a `Fraction` (`Oracle.optimal_online_value`).  A
+source with no live entry is refused once, when the DP is built.  The
+policies read the oracle's own tables: the DP's label transitions and
+states, and per spec the choice-law rows (`choice_laws`).
 """
 
 from __future__ import annotations
@@ -149,7 +150,8 @@ class _BestPathDP:
     fills every row for one set of edge values; `row` fills one from the
     rows of later nodes, once per distinct row in the shared pass.
     `opt_path` and the annotation read `values` at `place`, the online
-    DP reads `cands` and `values`, and the policies' exact engine and
+    DP reads `cands`, `values`, `sums` and each node's successors
+    (`succ`, as the shared pass does), and the policies' exact engine and
     walker read `trans`.  The shared pass and the annotation add `sums`:
     `values`, or for exact tables their integer numerators.  A source
     without a live state is refused here; callers check the state count
@@ -203,6 +205,7 @@ class _BestPathDP:
                     entry[i][s] = len(rows)
                     rows.append(choices)
             self.cands[i] = tuple(rows)
+        self.succ = [sorted({j for choices in rows for _, j, _ in choices}) for rows in self.cands]
         if not self.cands[0]:
             where = " within label capacities" if n_states > 1 else ""
             raise InvalidInstanceError("source cannot reach sink" + where)
@@ -298,7 +301,7 @@ class Oracle:
         dp = self._dp
         n = len(dp.out)
         size = [*accumulate(map(len, reversed(dp.sums)), mul, initial=1)][::-1]  # size[h]: nodes h..n-1's realizations
-        succ = [sorted({j for choices in rows for _, j, _ in choices}) for rows in dp.cands]
+        succ = dp.succ
         last = {j: h for h in range(n - 1, -1, -1) for j in succ[h]}  # the last node that reads j's classes
         ids = [itemgetter(slice(len(rows), 2 * len(rows))) for rows in dp.cands]  # a class key's path ids
         # per node: per class its key (its row's values, path ids and value types), and per suffix
@@ -493,18 +496,43 @@ class Oracle:
         """Expected value of the walker that sees each node's outcome on
         arrival and otherwise knows all distributions, by backward
         induction over the best-path DP's live rows: per entry and
-        outcome, the best of the entry's choices (the first on ties)."""
-        dp = self._dp
-        value: list = [None] * len(dp.cands)
-        value[-1] = [0] * len(dp.cands[-1])
-        for i in range(len(dp.cands) - 2, -1, -1):
+        outcome, the best of the entry's choices (the first on ties).
+        Where every term is a `Fraction` (an exact table whose inner nodes
+        all have `Fraction` masses), entries are integers: node i's over
+        V * prod(mass_den[i:]) (`scale[i]`), so that the source's is one
+        canonical `Fraction`; other tables add their own numbers."""
+        dp, inst = self._dp, self.inst
+        n = len(dp.cands)
+        inner = inst.tables[:-1]
+        integer = inst.exact and all(inner) and all(type(o.p) is Fraction for t in inner for o in t)
+        if integer:
+            scale = [*accumulate(reversed(inst.scale.mass_den), mul, initial=1)][::-1]
+            rows, masses, add = dp.sums, inst.scale.masses, sum
+        else:
             # a node without a table is one outcome of mass 1, as in the offline pass
-            outcomes = list(zip([o.p for o in self.inst.tables[i]] or [1], dp.values[i]))
-            value[i] = [
-                stable_sum(p * max(vals[c] + value[j][k] for c, j, k in choices) for p, vals in outcomes)
-                for choices in dp.cands[i]
-            ]
+            scale, rows, add = [1] * (n + 1), dp.values, stable_sum
+            masses = [[o.p for o in t] or [1] for t in inst.tables]
+        value: list = [None] * n
+        value[-1] = [0] * len(dp.cands[-1])
+        for i in range(n - 2, -1, -1):
+            up = scale[i + 1]  # node i's edge values and its successors' entries, over scale[i + 1]
+            later = {j: value[j] if scale[j] == up else [v * (up // scale[j]) for v in value[j]] for j in dp.succ[i]}
+            outcomes = [(m, vals if up == 1 else [v * up for v in vals]) for m, vals in zip(masses[i], rows[i])]
+            value[i] = row = []
+            # explicit loops: a comprehension per (entry, outcome) costs more than the few choices it scans
+            for choices in dp.cands[i]:
+                terms = []
+                for m, vals in outcomes:
+                    best = None
+                    for c, j, k in choices:
+                        w = vals[c] + later[j][k]
+                        if best is None or w > best:  # the first of equal bests, as `max` keeps
+                            best = w
+                    terms.append(m * best)
+                row.append(add(terms))
         out = value[0][0]
+        if integer:
+            return Fraction(out, inst.scale.den * scale[0])
         if isinstance(out, float) and not math.isfinite(out):
             raise OverflowError(f"optimal online value is {out}")
         return out

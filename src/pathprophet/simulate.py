@@ -17,7 +17,6 @@ trial, which draws the same numbers as a fresh generator per trial.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, fields
 from typing import Any
 
@@ -25,7 +24,7 @@ from .cover import PathCover
 from .errors import PolicyError
 from .model import Instance
 from .policies import PreparedPolicy, prepare_policy
-from .util import stable_sum, trial_streams
+from .util import sample_stdev, stable_sum, trial_streams
 
 
 def exact_policy_value(inst: Instance, policy: str) -> float:
@@ -71,7 +70,7 @@ def monte_carlo_estimate(
     trial = prep.sampler().trial
     realized, certified = zip(*[trial(rng) for rng in trial_streams(trials, seed, "traj")])
     mean = stable_sum(certified) / trials
-    se = statistics.stdev(certified) / math.sqrt(trials) if trials > 1 else 0.0
+    se = sample_stdev(certified) / math.sqrt(trials) if trials > 1 else 0.0
     return PolicyRunReport(
         policy=policy,
         trials=trials,

@@ -6,6 +6,7 @@ import hashlib
 import math
 import os
 import random
+import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -56,6 +57,22 @@ def stable_sum(values: Iterable) -> float | Fraction:
             num += n * (den // d)
         return Fraction(num, den)
     return math.fsum(vals)
+
+
+def sample_stdev(xs: Sequence[float]) -> float:
+    """Sample standard deviation of two or more finite floats, correctly rounded (the bits of 3.11's
+    `statistics.stdev` on every Python): the exact variance over the largest denominator, a power of two,
+    and its square root rounded to odd with `math.isqrt`, as `statistics._float_sqrt_of_frac` does."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    d = max([r for _, r in ratios])
+    nums = [p * (d // r) for p, r in ratios]
+    n, s = len(nums), sum(nums)
+    num, den = n * sum([x * x for x in nums]) - s * s, n * (n - 1) * d * d
+    q = (num.bit_length() - den.bit_length() - 2 * sys.float_info.mant_dig - 3) // 2
+    top, bottom = (num, den << 2 * q) if q >= 0 else (num << -2 * q, den)  # sqrt(num / den) = sqrt(top / bottom) * 2^q
+    root = math.isqrt(top // bottom)
+    root |= root * root * bottom != top  # round to odd: an inexact root keeps its low bit set
+    return (root << max(q, 0)) / (1 << max(-q, 0))
 
 
 def derive_seed(master: int, *parts: object) -> int:

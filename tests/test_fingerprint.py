@@ -10,7 +10,6 @@ checkout lists what moved; this test only says which layer did.
 from __future__ import annotations
 
 import hashlib
-import sys
 import types
 
 import fingerprint
@@ -49,6 +48,4 @@ def test_fingerprint_layers_match_their_pinned_digests():
                 digests[layer].update(f"{rkey}\t{text}\n".encode())
     assert moved == MOVED
     got = {layer: d.hexdigest() for layer, d in digests.items()}
-    if sys.version_info < (3, 11):  # statistics.stdev rounds MC standard errors differently before 3.11
-        del got["mc"]
-    assert got == {layer: DIGESTS[layer] for layer in got}
+    assert got == DIGESTS

@@ -11,7 +11,6 @@ a trajectory value shows up here.
 from __future__ import annotations
 
 import json
-import sys
 
 import pytest
 
@@ -27,8 +26,6 @@ CASES = {
     "general": (dag_fuzz(35), (4.313125, 0.05044250267510346, 4.51625)),
     "disjoint": (strands_fuzz(31), (2.105625, 0.01956607015193588, 2.105625)),
 }
-if sys.version_info < (3, 11):  # statistics.stdev rounds differently before 3.11
-    CASES["disjoint"] = (CASES["disjoint"][0], (2.105625, 0.019566070151935882, 2.105625))
 
 
 def float_twin(inst):

@@ -45,7 +45,9 @@ from bruteforce import (
     offline_statistics,
     online_value,
 )
-from conftest import dag_fuzz, diamond, float_twin, labeled_fuzz, many_binding_labels, strands_fuzz, width1_fuzz
+from conftest import (
+    dag_fuzz, diamond, float_twin, labeled_fuzz, many_binding_labels, on_the_integer_path, strands_fuzz, width1_fuzz
+)
 
 
 FUZZ = (
@@ -241,6 +243,63 @@ def test_online_value_matches_bruteforce():
         assert Oracle(inst).optimal_online_value() == online_value(inst)
         twin = json_twin(inst)
         assert Oracle(twin).optimal_online_value() == pytest.approx(online_value(twin), rel=1e-12, abs=0)
+
+
+def test_online_dp_backs_up_integer_numerators_without_stable_sum(monkeypatch):
+    """On exact tables of Fraction masses the online DP never calls
+    `stable_sum`, and its one Fraction is the brute force's.  The random
+    dag's inner nodes reach 1, 2 or 4 capacity states."""
+    named = [
+        generate_paper_instance("mchoice", n=9, m=3),
+        generate_paper_instance("vertex-matching", bidders=8, items=2),
+        generate_random_instance(37, "dag", 8, 3, 2),
+    ]
+    assert all(map(on_the_integer_path, named))
+    assert {len(rows) for rows in Oracle(named[2])._dp.cands[1:-1]} == {1, 2, 4}
+
+    def refuse(values):
+        raise AssertionError("stable_sum on the integer path")
+
+    monkeypatch.setattr("pathprophet.oracle.stable_sum", refuse)
+    for inst in [inst for inst in FUZZ if on_the_integer_path(inst)] + named:
+        got = Oracle(inst).optimal_online_value()
+        assert type(got) is Fraction and got == online_value(inst)
+
+
+def test_online_dp_keeps_its_numbers_off_the_integer_path():
+    """Value and type where the online DP runs on the table's own numbers."""
+    half = Fraction(1, 2)
+    int_mass = Instance.build(  # `a` sums the one int term 1 * 2 with stable_sum: the float 2.0
+        ["s", "a", "t"], [("s", "a", ()), ("a", "t", ())],
+        outcomes={"s": [(half, {0: Fraction(1, 4)}), (half, {0: 1})], "a": [(1, {1: 2})]},
+    )
+    zero_mass = Instance.build(
+        ["s", "a", "t"], [("s", "a", ()), ("s", "t", ()), ("a", "t", ())],
+        outcomes={"s": [(Fraction(0), {0: 5, 1: 0}), (Fraction(1), {0: 0, 1: Fraction(1, 3)})],
+                  "a": [(half, {2: 1}), (half, {2: Fraction(3, 2)})]},
+    )
+    tableless = Instance.build(  # unvalidated: `a` has no table
+        ["s", "a", "b", "t"], [("s", "a", ()), ("a", "b", ()), ("b", "t", ())],
+        outcomes={"s": [(half, {0: 1}), (half, {0: Fraction(1, 3)})],
+                  "b": [(Fraction(1, 4), {2: 7}), (Fraction(3, 4), {2: 1})]},
+    )
+    twin = float_twin(Instance.build(
+        ["s", "a", "t"], [("s", "a", ()), ("s", "t", ()), ("a", "t", ())],
+        outcomes={"s": [(Fraction(1, 3), {0: Fraction(1, 10), 1: Fraction(7, 10)}),
+                        (Fraction(2, 3), {0: Fraction(3, 10), 1: Fraction(1, 5)})],
+                  "a": [(Fraction(1, 3), {2: Fraction(1, 3)}), (Fraction(2, 3), {2: Fraction(1, 7)})]},
+    ))
+    cases = [
+        (generate_paper_instance("markets"), Fraction(25, 8)),  # the source's one outcome has the int mass 1
+        (int_mass, 2.625),
+        (zero_mass, Fraction(5, 4)),
+        (tableless, Fraction(19, 6)),
+        (twin, 0.5708994708994708),
+    ]
+    for inst, want in cases:
+        assert not on_the_integer_path(inst)
+        got = Oracle(inst).optimal_online_value()
+        assert type(got) is type(want) and got == want
 
 
 def test_online_dp_passes_over_an_unvalidated_dead_end():

@@ -1,10 +1,13 @@
 """Sampling-table helpers: float tables must decide exactly as the
-exact arithmetic they replace."""
+exact arithmetic they replace.  The Monte Carlo standard error gives
+`statistics.stdev`'s correctly rounded bits on every Python."""
 
 from __future__ import annotations
 
 import math
 import random
+import statistics
+import sys
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -13,7 +16,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bruteforce import weighted_index
-from pathprophet.util import cumulative, default_enum_cap, derive_seed, exact_threshold, stable_sum, trial_streams
+from pathprophet.util import (
+    cumulative, default_enum_cap, derive_seed, exact_threshold, sample_stdev, stable_sum, trial_streams
+)
 
 unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=10**12)
 unit_floats = st.floats(min_value=0, max_value=1)
@@ -101,3 +106,32 @@ def test_stable_sum_without_a_fraction_is_fsum(vals):
 def test_enum_cap_override_falls_back_to_the_default_unless_positive(monkeypatch, raw, cap):
     monkeypatch.setenv("PATHPROPHET_ENUM_CAP", raw)
     assert default_enum_cap() == cap
+
+
+finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e-300, max_value=1e-300),  # tiny and subnormal magnitudes
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.5, 2.5]),
+)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="statistics.stdev is correctly rounded from 3.11 on")
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(finite_floats, min_size=2, max_size=40))
+@example([1.0, 2.0])  # n = 2
+@example([0.1] * 7)  # equal values: an exact zero
+@example([0.0, -0.0])  # signed zeros
+@example([-0.0, -0.0, -0.0])
+@example([5e-324, 0.0, -5e-324])  # subnormals
+@example([1e308, -1e308])  # huge: the root is near the top of the float range
+@example([1.7e308, -1.7e308])  # the root overflows a float
+@example([1e-300, 3.0, 1e300])
+def test_sample_stdev_is_statistics_stdev_to_the_bit(xs):
+    try:
+        want = statistics.stdev(xs)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            sample_stdev(xs)
+        return
+    got = sample_stdev(xs)
+    assert got == want and math.copysign(1, got) == math.copysign(1, want)
