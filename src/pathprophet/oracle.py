@@ -35,13 +35,12 @@ per offline spec; no list of realizations is ever built.
   spec once, and walks the realizations beside the path ids with
   `itertools.product` over each tabled node's law-bucket rows (a list
   per outcome: a column per out-edge, then None) and, via `math.prod`,
-  its masses (`1 * p_0 * p_1 * ...`).  On float and mixed tables
+  its masses (`1 * p_0 * p_1 * ...`).  On tables that are not exact
   a realization's edge values come from `product` over the DP's value
   rows, and its mass goes to every bucket (expected value, `x`, path
   law, conditional laws) in the order of a per-realization loop, so
-  float statistics are bit-identical to that loop.  `opt_path` and
-  this loop add a path's values with one sum, chosen per oracle from
-  the types the table holds.
+  float statistics are bit-identical to that loop; a realization's
+  value term streams into the expected value's sum, with no list.
 * Exact tables (`Instance.exact`) run both passes on the integer
   numerators of `Instance.scale`, which compare and tie as the values
   do.  Integers add in any order, so a realization adds its mass only
@@ -49,12 +48,13 @@ per offline spec; no list of realizations is ever built.
   buckets; `x[e]` is then the mass of the spec paths through e, and the
   expected value is the sum of each row of value numerators times its
   bucket row.  Each statistic becomes one canonical `Fraction` at the
-  end, the one `Fraction` arithmetic gives.  Float and mixed tables run
-  on their own numbers.
+  end, the one `Fraction` arithmetic gives.
 
-`opt_path` scores one given realization with the same DP rows, and the
-online DP backs up expected values over them, on integer numerators
-where every term is a `Fraction` (`Oracle.optimal_online_value`).  A
+Every sum follows one rule, chosen once per table: exact tables add
+integer numerators, and every other table adds its own numbers with one
+sum picked from the types it holds (`Oracle._table_sum`).  `opt_path`
+scores one realization with the same DP rows, and the online DP backs
+up expected values over them (`Oracle.optimal_online_value`).  A
 source with no live entry is refused once, when the DP is built.  The
 policies read the oracle's own tables: the DP's label transitions and
 states, and per spec the choice-law rows (`choice_laws`).
@@ -75,9 +75,10 @@ from .errors import InvalidInstanceError
 from .model import Instance, active_label_caps, enumeration_size, sample_realization
 from .util import check_state_cap, stable_sum, trial_streams
 
-# Below this many realizations the odometer pass is faster: over the seed-0 benchmark tables, both passes
-# timed on fresh oracles (fastest of 11, two runs), the distinct-row pass took a median 2.4x the odometer's
-# time at 8-15 realizations, 1.06x-1.08x at 64-127, 0.98x-1.03x at 128-255 and 0.37x-0.70x above.
+# Below this many realizations the odometer pass is faster: over the seed-0 benchmark tables, both passes on
+# fresh oracles (fastest of 11, two runs), the distinct-row pass took a median 2.4x the odometer's time at 8-15
+# realizations, 1.06x-1.08x at 64-127 and 0.37x-0.70x above 255.  At 128-255 the median is 0.98x-1.03x but
+# single tables span 0.59x-1.64x: repeat-rich dag and strands tables gain, random-valued mc-walk tables lose.
 DISTINCT_ROWS_FROM = 128
 
 
@@ -277,12 +278,12 @@ class Oracle:
         rows = [vals[o] for vals, o in zip(dp.values, choices)]
         _, prows = dp.solve(rows)
         edges = spec.select(dp.path(prows[0][0]))
-        return PathSelection(edges, self._path_sum([rows[i][c] for i, c in map(dp.place.__getitem__, edges)]))
+        return PathSelection(edges, self._table_sum([rows[i][c] for i, c in map(dp.place.__getitem__, edges)]))
 
     @cached_property
-    def _path_sum(self):
-        """How a path's values add, by the types the table holds: exactly on ints and Fractions,
-        compensated on floats, by `stable_sum` (a type test per call) only where both mix."""
+    def _table_sum(self):
+        """The table's one sum, picked by the types it holds: `sum` where it holds no float, as on an exact
+        table's integer numerators, `math.fsum` on floats, and `stable_sum` only where both mix."""
         kinds = {type(v) for rows in self._dp.values for row in rows for v in row}
         kinds |= {type(o.p) for table in self.inst.tables for o in table}
         frac, flt = (any(issubclass(t, cls) for t in kinds) for cls in (Fraction, float))
@@ -424,19 +425,21 @@ class Oracle:
             xs = [Fraction(a, d) if a else 0 for a in xs]  # an untouched x stays the int 0 sums start from
             path_mass = [Fraction(m, d) for m in path_mass]
         else:
-            # floats add per realization, in product order; a realization's edge
-            # values are one row of `dp.sums` per node
-            add = self._path_sum
-            value_terms = []
-            for (pid, rows, m), vals in zip(walk, product(*dp.sums)):
-                path, p, cols, where = chosen[pid]
-                value_terms.append(m * add([vals[i][c] for i, c in where]))
-                for eid in path:
-                    xs[eid] += m
-                path_mass[p] += m
-                for row, c in zip(rows, cols):
-                    row[c] += m
-            expected = stable_sum(value_terms)
+            # a table that is not exact adds per realization, in product order; a realization's edge
+            # values are one row of `dp.sums` per node, and its value term streams into the table's sum
+            add = self._table_sum
+
+            def value_terms():
+                for (pid, rows, m), vals in zip(walk, product(*dp.sums)):
+                    path, p, cols, where = chosen[pid]
+                    for eid in path:
+                        xs[eid] += m
+                    path_mass[p] += m
+                    for row, c in zip(rows, cols):
+                        row[c] += m
+                    yield m * add([vals[i][c] for i, c in where])
+
+            expected = add(value_terms())
         laws: dict[int, tuple[tuple[float, ...], ...]] = {}
         for i, rows in zip(tabled, buckets):
             law_rows = []
@@ -488,7 +491,7 @@ class Oracle:
             raise ValueError("trials must be positive")
         rngs = trial_streams(trials, seed, "opt")
         terms = [self.opt_path(sample_realization(self.inst, rng)).value for rng in rngs]
-        return stable_sum(terms) / trials
+        return self._table_sum(terms) / trials
 
     # -- best fully-informed online walker -----------------------------
 
@@ -496,28 +499,24 @@ class Oracle:
         """Expected value of the walker that sees each node's outcome on
         arrival and otherwise knows all distributions, by backward
         induction over the best-path DP's live rows: per entry and
-        outcome, the best of the entry's choices (the first on ties).
-        Where every term is a `Fraction` (an exact table whose inner nodes
-        all have `Fraction` masses), entries are integers: node i's over
-        V * prod(mass_den[i:]) (`scale[i]`), so that the source's is one
-        canonical `Fraction`; other tables add their own numbers."""
+        outcome, the best of the entry's choices (the first on ties), and a
+        node without a table is one outcome of mass 1.  On exact tables
+        entries are integers: node i's over V * prod(mass_den[i:])
+        (`scale[i]`), so that the source's is one canonical `Fraction`;
+        other tables add their own numbers with the table's one sum."""
         dp, inst = self._dp, self.inst
         n = len(dp.cands)
-        inner = inst.tables[:-1]
-        integer = inst.exact and all(inner) and all(type(o.p) is Fraction for t in inner for o in t)
-        if integer:
+        if inst.exact:
             scale = [*accumulate(reversed(inst.scale.mass_den), mul, initial=1)][::-1]
             rows, masses, add = dp.sums, inst.scale.masses, sum
         else:
-            # a node without a table is one outcome of mass 1, as in the offline pass
-            scale, rows, add = [1] * (n + 1), dp.values, stable_sum
-            masses = [[o.p for o in t] or [1] for t in inst.tables]
+            scale, rows, masses, add = [1] * (n + 1), dp.values, [[o.p for o in t] for t in inst.tables], self._table_sum
         value: list = [None] * n
         value[-1] = [0] * len(dp.cands[-1])
         for i in range(n - 2, -1, -1):
             up = scale[i + 1]  # node i's edge values and its successors' entries, over scale[i + 1]
             later = {j: value[j] if scale[j] == up else [v * (up // scale[j]) for v in value[j]] for j in dp.succ[i]}
-            outcomes = [(m, vals if up == 1 else [v * up for v in vals]) for m, vals in zip(masses[i], rows[i])]
+            outcomes = [(m, vals if up == 1 else [v * up for v in vals]) for m, vals in zip(masses[i] or [1], rows[i])]
             value[i] = row = []
             # explicit loops: a comprehension per (entry, outcome) costs more than the few choices it scans
             for choices in dp.cands[i]:
@@ -531,7 +530,7 @@ class Oracle:
                     terms.append(m * best)
                 row.append(add(terms))
         out = value[0][0]
-        if integer:
+        if inst.exact:
             return Fraction(out, inst.scale.den * scale[0])
         if isinstance(out, float) and not math.isfinite(out):
             raise OverflowError(f"optimal online value is {out}")

@@ -24,7 +24,7 @@ from .cover import PathCover
 from .errors import PolicyError
 from .model import Instance
 from .policies import PreparedPolicy, prepare_policy
-from .util import sample_stdev, stable_sum, trial_streams
+from .util import sample_stdev, trial_streams
 
 
 def exact_policy_value(inst: Instance, policy: str) -> float:
@@ -69,7 +69,7 @@ def monte_carlo_estimate(
     prep = prepared if prepared is not None else prepare_policy(inst, policy)
     trial = prep.sampler().trial
     realized, certified = zip(*[trial(rng) for rng in trial_streams(trials, seed, "traj")])
-    mean = stable_sum(certified) / trials
+    mean = math.fsum(certified) / trials
     se = sample_stdev(certified) / math.sqrt(trials) if trials > 1 else 0.0
     return PolicyRunReport(
         policy=policy,
@@ -77,7 +77,7 @@ def monte_carlo_estimate(
         seed=seed,
         mean=mean,
         std_err=se,
-        realized_mean=stable_sum(realized) / trials,
+        realized_mean=math.fsum(realized) / trials,
     )
 
 

@@ -41,7 +41,8 @@ def check_state_cap(positions: int, caps: Iterable[int], kind: str) -> None:
 
 
 def stable_sum(values: Iterable) -> float | Fraction:
-    """Sum that stays exact for Fractions and is compensated for floats."""
+    """Sum that stays exact for Fractions and is compensated for floats, with a type test per call: for the
+    oracle's tables that mix both, and the policy layer until it picks one number kind per instance."""
     vals = list(values)
     # one subclass test per distinct type: isinstance against the
     # Fraction ABC costs about as much as the float sum itself

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from pathprophet import Instance, generate_random_instance, instance_from_dict, instance_to_dict
 
@@ -33,13 +32,6 @@ def strands_fuzz(j: int) -> Instance:
 def float_twin(inst: Instance) -> Instance:
     """What a file user gets: the instance through JSON, Fractions as floats."""
     return instance_from_dict(json.loads(json.dumps(instance_to_dict(inst), default=float)))
-
-
-def on_the_integer_path(inst: Instance) -> bool:
-    """Where the online DP backs up integer numerators: an exact table whose
-    inner nodes all have tables of `Fraction` masses."""
-    inner = inst.tables[:-1]
-    return inst.exact and all(inner) and all(type(o.p) is Fraction for t in inner for o in t)
 
 
 def diamond() -> Instance:

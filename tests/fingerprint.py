@@ -33,7 +33,11 @@ Layers, each reached through public calls only:
 A refusal is recorded as its exception type and message.  `repr` tells
 `int`, `float` and `Fraction` apart, so a statistic that changes type
 moves.  `--compare` prints each layer's count of moved, missing and new
-records, lists them, and exits 1 if there are any.  The file is not named `test_*`, so
+records, with the moved ones split into two kinds, lists them, and exits
+1 if there are any.  A `type` move holds the same numbers in other types:
+with every int, float and `Fraction(n, d)` in both reprs read as an exact
+rational, the two agree (`2.0` and `2`, `0.75` and `Fraction(3, 4)`).
+Every other move is a `value` move.  The file is not named `test_*`, so
 pytest does not collect it.
 """
 
@@ -44,10 +48,12 @@ import importlib
 import json
 import os
 import random
+import re
 import sys
 import tempfile
 import types
 from collections import defaultdict
+from fractions import Fraction
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -171,9 +177,26 @@ def read(path: str) -> dict[tuple[str, str], str]:
         return {(layer, key): text for layer, key, text in rows}
 
 
+# a Fraction(n, d), or an int or float literal that is not part of a name
+NUMBER = re.compile(r"Fraction\((-?\d+), (-?\d+)\)|(?<![\w.])-?\d+(\.\d*)?(e[-+]?\d+)?(?![\w.])")
+
+
+def exact_text(text: str) -> str:
+    """`text` with every int, float and `Fraction(n, d)` in it written as the exact rational it holds."""
+    def rational(m: re.Match) -> str:
+        if m[1]:
+            q = Fraction(int(m[1]), int(m[2]))
+        else:
+            q = Fraction(float(m[0])) if m[3] or m[4] else Fraction(int(m[0]))
+        return f"<{q}>"
+
+    return NUMBER.sub(rational, text)
+
+
 def compare(a_path: str, b_path: str) -> int:
     a, b = read(a_path), read(b_path)
     moved: dict[str, list[str]] = defaultdict(list)
+    kinds: dict[str, list[str]] = defaultdict(list)  # per layer, each moved record's kind
     for rec in sorted(a.keys() | b.keys()):
         layer, key = rec
         if rec not in b:
@@ -181,9 +204,13 @@ def compare(a_path: str, b_path: str) -> int:
         elif rec not in a:
             moved[layer].append(f"  new      {key}\n    B {b[rec]}")
         elif a[rec] != b[rec]:
-            moved[layer].append(f"  moved    {key}\n    A {a[rec]}\n    B {b[rec]}")
+            kind = "type" if exact_text(a[rec]) == exact_text(b[rec]) else "value"
+            kinds[layer].append(kind)
+            moved[layer].append(f"  {kind:<8} {key}\n    A {a[rec]}\n    B {b[rec]}")
     for layer in sorted({k[0] for k in a.keys() | b.keys()}):
-        print(f"{layer}: {len(moved[layer])} of {sum(k[0] == layer for k in a.keys() | b.keys())} records")
+        count = sum(k[0] == layer for k in a.keys() | b.keys())
+        split = ", ".join(f"{kinds[layer].count(kind)} {kind}" for kind in ("type", "value"))
+        print(f"{layer}: {len(moved[layer])} of {count} records ({split})")
         if moved[layer]:
             print("\n".join(moved[layer]))
     total = sum(map(len, moved.values()))

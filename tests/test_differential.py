@@ -18,9 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruteforce import online_value
-from conftest import float_twin, on_the_integer_path
-from pathprophet import Instance, Oracle, min_path_cover, validate_instance
+from bruteforce import all_feasible_paths, offline_statistics, online_value
+from conftest import float_twin
+from pathprophet import Instance, Oracle, min_path_cover, restricted_spec, validate_instance
+from pathprophet.oracle import OPT, OfflineSpec
 
 EXACT_VALUES = (0, 1, 2, Fraction(1, 2), Fraction(1, 3), Fraction(3, 2))
 FLOAT_VALUES = (0.0, 0.5, 1.0, 0.1, 1 / 3)
@@ -47,8 +48,8 @@ def instances(draw) -> Instance:
         carriers = draw(st.lists(st.integers(0, len(pairs) - 1), min_size=labels[lbl] + 1,
                                  max_size=labels[lbl] + 2, unique=True))
         edges += [(nodes[pairs[e][0]], nodes[pairs[e][1]], (lbl,)) for e in carriers]
-    # the number kinds of the instance: Fraction masses only (a table on the online DP's integer path when
-    # no mass is zero), then int masses too, then floats among masses and values
+    # the number kinds of the instance: Fraction masses only (an exact table when no mass is zero), then
+    # int masses too, then floats among masses and values
     kinds = draw(st.sampled_from([("Fraction",), ("Fraction", "int"), ("Fraction", "int", "float")]))
     values = st.sampled_from(EXACT_VALUES + FLOAT_VALUES if "float" in kinds else EXACT_VALUES)
     least = draw(st.integers(0, 1))  # a weight of 0 is a zero mass
@@ -72,19 +73,25 @@ def instances(draw) -> Instance:
     return inst
 
 
-# Shrunk failures of the property's type check, had it covered every
-# exact table: an inner node of one outcome of the `int` mass 1 sums one
-# `int` term with `stable_sum`, which returns the float `math.fsum` gives,
-# and the float spreads to the source.  Each pins today's float; the
-# brute force gives a `Fraction` of the same value.
+def holds_float(inst: Instance) -> bool:
+    return any(isinstance(x, float) for t in inst.tables for o in t for x in (o.p, *o.values.values()))
+
+
+# Shrunk type failures of the online property, kept as regression cases:
+# an inner node of one outcome of the `int` mass 1 once summed its one
+# `int` term with `stable_sum`, which returned the float `math.fsum`
+# gives, and the float spread to the source.  The first is exact; the
+# second holds only `int` masses, so it is not.
 ONLINE_TYPE_LEAKS = [
-    (
-        Instance.build(
-            ["v0", "v1", "v2"],
-            [("v0", "v1", ()), ("v1", "v2", ())],
-            outcomes={"v0": [(Fraction(1), {0: 0})], "v1": [(1, {1: 0})]},
-        ),
-        0.0,
+    Instance.build(
+        ["v0", "v1", "v2"],
+        [("v0", "v1", ()), ("v1", "v2", ())],
+        outcomes={"v0": [(Fraction(1), {0: 0})], "v1": [(1, {1: 0})]},
+    ),
+    Instance.build(
+        ["v0", "v1", "v2"],
+        [("v0", "v1", ()), ("v1", "v2", ())],
+        outcomes={"v0": [(1, {0: Fraction(1, 3)})], "v1": [(1, {1: 0})]},
     ),
 ]
 
@@ -92,12 +99,10 @@ ONLINE_TYPE_LEAKS = [
 def check_online(inst: Instance) -> None:
     got = Oracle(inst).optimal_online_value()
     want = online_value(inst)
-    if inst.exact:
-        assert got == want
-        if on_the_integer_path(inst):
-            assert type(got) is type(want)
-    else:  # a table with a float, or with a zero mass or no Fraction-mass node, runs on its own numbers
+    if holds_float(inst):
         assert got == pytest.approx(want, rel=1e-12, abs=0)
+    else:  # an int or a Fraction: on an exact table the oracle's is a Fraction even where brute force adds ints
+        assert got == want and type(got) in (int, Fraction)
     twin = float_twin(inst)
     assert Oracle(twin).optimal_online_value() == pytest.approx(online_value(twin), rel=1e-12, abs=0)
 
@@ -105,16 +110,69 @@ def check_online(inst: Instance) -> None:
 @settings(max_examples=120, derandomize=True, deadline=None)
 @given(instances())
 def test_online_dp_matches_the_brute_force_walker(inst):
-    """Exact tables: the same value, and the same type where every inner
-    node's masses are Fractions; other tables and every float twin:
-    within 1e-12 relative."""
+    """Tables without a float: the same value, as an int or a Fraction;
+    tables with one and every float twin: within 1e-12 relative."""
     check_online(inst)
 
 
-@pytest.mark.parametrize("inst, today", ONLINE_TYPE_LEAKS)
-def test_online_type_leaks_stay_pinned(inst, today):
-    assert inst.exact and not on_the_integer_path(inst)
+@pytest.mark.parametrize("inst", ONLINE_TYPE_LEAKS)
+def test_online_type_leaks_stay_mended(inst):
     check_online(inst)
     got = Oracle(inst).optimal_online_value()
-    assert type(got) is float and got == today
-    assert type(online_value(inst)) is Fraction
+    assert type(got) is Fraction and got == online_value(inst)
+
+
+def specs(inst: Instance) -> list[OfflineSpec]:
+    """OPT, and the lexicographically first feasible path's edges plus
+    the last edge, with that path as the fallback."""
+    fallback = all_feasible_paths(inst)[0]
+    return [OPT, restricted_spec(frozenset(fallback) | {inst.edges[-1].id}, fallback)]
+
+
+def statistics(inst: Instance, spec: OfflineSpec) -> dict:
+    """The oracle's expected value, `x`, path law and choice laws as one
+    flat dict, keyed as `reference` keys brute force's."""
+    orc = Oracle(inst)
+    out = {"expected": orc.expected_opt(spec)}
+    out.update({("x", e): v for e, v in enumerate(orc.edge_probabilities(spec))})
+    out.update({("path", p): m for p, m in orc.path_distribution(spec).items()})
+    for name, table in zip(inst.nodes, inst.tables):
+        for o in range(len(table)):
+            law = orc.conditional_choice_distribution(name, o, spec)
+            out.update({("law", name, o, k): v for k, v in law.items()})
+    return out
+
+
+def reference(inst: Instance, spec: OfflineSpec) -> dict:
+    expected, x, cond, paths = offline_statistics(inst, spec.allowed, spec.fallback)
+    out = {"expected": expected}
+    out.update({("x", e): v for e, v in enumerate(x)})
+    out.update({("path", p): m for p, m in paths.items()})
+    out.update({("law", name, o, k): v for name, rows in cond.items() for o, law in enumerate(rows)
+                for k, v in law.items()})
+    return out
+
+
+def assert_agree(got: dict, want: dict, rel: float) -> None:
+    """Equal where `rel` is 0, else within `rel` relative; a key one side
+    leaves out reads 0."""
+    for key in got.keys() | want.keys():
+        a, b = got.get(key, 0), want.get(key, 0)
+        assert a == (pytest.approx(b, rel=rel, abs=0) if rel else b), key
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(instances())
+def test_offline_statistics_match_the_brute_force(inst):
+    """OPT and one restricted spec: the expected value, `x`, the path law
+    and the choice laws equal brute force's on tables without a float,
+    and are within 1e-12 relative on tables with one; each float twin is
+    within 1e-12 relative of brute force on it and within 1e-9 relative
+    of its table."""
+    twin = float_twin(inst)
+    for spec in specs(inst):
+        got = statistics(inst, spec)
+        assert_agree(got, reference(inst, spec), 1e-12 if holds_float(inst) else 0)
+        got_twin = statistics(twin, spec)
+        assert_agree(got_twin, reference(twin, spec), 1e-12)
+        assert_agree(got_twin, got, 1e-9)

@@ -46,7 +46,7 @@ from bruteforce import (
     online_value,
 )
 from conftest import (
-    dag_fuzz, diamond, float_twin, labeled_fuzz, many_binding_labels, on_the_integer_path, strands_fuzz, width1_fuzz
+    dag_fuzz, diamond, float_twin, labeled_fuzz, many_binding_labels, strands_fuzz, width1_fuzz
 )
 
 
@@ -246,30 +246,33 @@ def test_online_value_matches_bruteforce():
 
 
 def test_online_dp_backs_up_integer_numerators_without_stable_sum(monkeypatch):
-    """On exact tables of Fraction masses the online DP never calls
-    `stable_sum`, and its one Fraction is the brute force's.  The random
-    dag's inner nodes reach 1, 2 or 4 capacity states."""
+    """On exact tables the online DP never calls `stable_sum`, and its
+    one Fraction is the brute force's.  The random dag's inner nodes
+    reach 1, 2 or 4 capacity states."""
     named = [
         generate_paper_instance("mchoice", n=9, m=3),
         generate_paper_instance("vertex-matching", bidders=8, items=2),
         generate_random_instance(37, "dag", 8, 3, 2),
     ]
-    assert all(map(on_the_integer_path, named))
+    assert all(inst.exact for inst in named)
     assert {len(rows) for rows in Oracle(named[2])._dp.cands[1:-1]} == {1, 2, 4}
 
     def refuse(values):
         raise AssertionError("stable_sum on the integer path")
 
     monkeypatch.setattr("pathprophet.oracle.stable_sum", refuse)
-    for inst in [inst for inst in FUZZ if on_the_integer_path(inst)] + named:
+    for inst in [inst for inst in FUZZ if inst.exact] + named:
         got = Oracle(inst).optimal_online_value()
         assert type(got) is Fraction and got == online_value(inst)
 
 
 def test_online_dp_keeps_its_numbers_off_the_integer_path():
-    """Value and type where the online DP runs on the table's own numbers."""
+    """Value and type at the edges of the exact rule: exact tables with
+    an `int` mass or an inner node without a table back up integer
+    numerators, while a zero mass and a float twin add their own numbers
+    with the table's one sum."""
     half = Fraction(1, 2)
-    int_mass = Instance.build(  # `a` sums the one int term 1 * 2 with stable_sum: the float 2.0
+    int_mass = Instance.build(  # `a` has one outcome of the int mass 1, whose best move is worth the int 2
         ["s", "a", "t"], [("s", "a", ()), ("a", "t", ())],
         outcomes={"s": [(half, {0: Fraction(1, 4)}), (half, {0: 1})], "a": [(1, {1: 2})]},
     )
@@ -290,14 +293,14 @@ def test_online_dp_keeps_its_numbers_off_the_integer_path():
                   "a": [(Fraction(1, 3), {2: Fraction(1, 3)}), (Fraction(2, 3), {2: Fraction(1, 7)})]},
     ))
     cases = [
-        (generate_paper_instance("markets"), Fraction(25, 8)),  # the source's one outcome has the int mass 1
-        (int_mass, 2.625),
-        (zero_mass, Fraction(5, 4)),
-        (tableless, Fraction(19, 6)),
-        (twin, 0.5708994708994708),
+        (generate_paper_instance("markets"), True, Fraction(25, 8)),  # the source's one outcome has the int mass 1
+        (int_mass, True, Fraction(21, 8)),
+        (zero_mass, False, Fraction(5, 4)),
+        (tableless, True, Fraction(19, 6)),
+        (twin, False, 0.5708994708994708),
     ]
-    for inst, want in cases:
-        assert not on_the_integer_path(inst)
+    for inst, exact, want in cases:
+        assert inst.exact is exact
         got = Oracle(inst).optimal_online_value()
         assert type(got) is type(want) and got == want
 
