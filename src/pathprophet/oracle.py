@@ -23,13 +23,13 @@ per offline spec; no list of realizations is ever built.
   C-level `map` and array repetition spread the classes over the
   suffix realizations; a node's classes are freed once the last node
   that reads them is done.  The gain rests on rows that repeat across
-  suffix realizations, as on discrete tables; where none repeat, the
-  pass computes as many rows as an odometer.  Below
-  `DISTINCT_ROWS_FROM` realizations an odometer walks them instead: the
-  lowest-index tabled node moves fastest, and a step that moves node h
-  recomputes rows h..0.  The pass stores each realization's best path
-  as one interned path id in a flat array (1, 2 or 8 bytes each), in
-  node-major `itertools.product` order, the order of
+  suffix realizations, as on discrete tables; where none repeat, it
+  computes as many rows as a plain walk.  Below `DISTINCT_ROWS_FROM`
+  realizations a short recursion (`_BestPathDP.ids`) walks them
+  instead: it chooses outcomes from the sink up and computes row h once
+  per outcome chosen at node h.  The pass stores each realization's
+  best path as one interned path id in a flat array (1, 2 or 8 bytes
+  each), in node-major `itertools.product` order, the order of
   `model.enumerate_realizations`.  Every spec shares it.
 * Per spec, the accumulation maps each distinct path id through the
   spec once, and walks the realizations beside the path ids with
@@ -71,14 +71,15 @@ from itertools import accumulate, product, repeat
 from operator import itemgetter, mul
 from typing import Sequence
 
+from .cover import chain_nodes
 from .errors import InvalidInstanceError
 from .model import Instance, active_label_caps, enumeration_size, sample_realization
 from .util import check_state_cap, stable_sum, trial_streams
 
-# Below this many realizations the odometer pass is faster: over the seed-0 benchmark tables, both passes on
-# fresh oracles (fastest of 11, two runs), the distinct-row pass took a median 2.4x the odometer's time at 8-15
-# realizations, 1.06x-1.08x at 64-127 and 0.37x-0.70x above 255.  At 128-255 the median is 0.98x-1.03x but
-# single tables span 0.59x-1.64x: repeat-rich dag and strands tables gain, random-valued mc-walk tables lose.
+# Below this many realizations the recursion (`_BestPathDP.ids`) is faster: over the benchmark tables of seeds 0-2
+# (fastest of 9 on fresh oracles) it took 0.23x the distinct-row pass's time at 1 realization and 0.74x at 64-127.
+# At 128-255 single tables span 0.52x-2.13x: 1.18x over the repeat-rich prophet-enum tables (faster on 10 of 26),
+# where the pass is most of a job, and 0.74x over the random-valued mc-walk ones (20 of 20).
 DISTINCT_ROWS_FROM = 128
 
 
@@ -148,8 +149,9 @@ class _BestPathDP:
     The label transitions (`trans`: per edge id the child state per
     state, or None for an edge that uses no binding label) and every
     node's edge values per outcome (`values`) are built once.  `solve`
-    fills every row for one set of edge values; `row` fills one from the
-    rows of later nodes, once per distinct row in the shared pass.
+    fills every row for one set of edge values, for `opt_path`; `row`
+    fills one from the rows of later nodes, in the shared pass once per
+    distinct row or, in `ids`, once per outcome chosen at its node.
     `opt_path` and the annotation read `values` at `place`, the online
     DP reads `cands`, `values`, `sums` and each node's successors
     (`succ`, as the shared pass does), and the policies' exact engine and
@@ -248,6 +250,32 @@ class _BestPathDP:
             best_p.append(pid)
         vrows[i], prows[i] = best_v, best_p
 
+    def ids(self) -> array:
+        """Each realization's source path id at its position in node-major
+        product order, choosing outcomes from the sink up; a run of
+        single-outcome nodes is a loop, so the recursion is one level deep
+        per node with more than one outcome."""
+        sums, row = self.sums, self.row
+        size = [*accumulate(map(len, reversed(sums)), mul, initial=1)][::-1]  # size[h]: nodes h..n-1's realizations
+        ids = array("q", [0]) * size[0]
+        vrows = [None] * (len(sums) - 1) + [[0] * len(self.cands[-1])]  # the sink's row, as `solve` has it
+        prows = vrows[:]
+
+        def choose(h: int, pos: int) -> None:  # nodes after h have chosen, at product position `pos`
+            while h >= 0 and len(sums[h]) == 1:
+                row(h, sums[h][0], vrows, prows)
+                h -= 1
+            if h < 0:
+                ids[pos] = prows[0][0]
+                return
+            for o, vals in enumerate(sums[h]):
+                row(h, vals, vrows, prows)
+                choose(h - 1, pos + o * size[h + 1])
+
+        for pos in range(len(sums[-1])):  # the sink's outcomes move no row
+            choose(len(sums) - 2, pos)
+        return ids
+
     def path(self, pid: int) -> tuple[int, ...]:
         edges = []
         while pid:
@@ -294,7 +322,7 @@ class Oracle:
         """The shared pass: each realization's unrestricted best path id,
         indexed by its position in node-major product order."""
         count = enumeration_size(self.inst)
-        return self._distinct_row_ids() if count >= DISTINCT_ROWS_FROM else self._odometer_ids(count)
+        return self._distinct_row_ids() if count >= DISTINCT_ROWS_FROM else self._dp.ids()
 
     def _distinct_row_ids(self) -> array:
         """The shared pass by classes, from the sink up: each distinct row
@@ -338,49 +366,14 @@ class Oracle:
                     keys[k] = cls[k] = None
         return cls[0]
 
-    def _odometer_ids(self, count: int) -> array:
-        """The shared pass by an odometer over the realizations."""
-        dp = self._dp
-        n = len(dp.out)
-        tables = self.inst.tables
-        # (node, outcome count, stride in product order) per odometer digit;
-        # nodes with a single outcome never move and are left out
-        digits = []
-        stride = 1
-        for i in range(n - 1, -1, -1):
-            if len(tables[i]) > 1:
-                digits.append((i, len(tables[i]), stride))
-            if tables[i]:
-                stride *= len(tables[i])
-        digits.reverse()
-        ids = array("q", [0]) * count
-        vals = [v[0] for v in dp.sums]
-        vrows, prows = dp.solve(vals)
-        at = [0] * len(digits)
-        pos = 0
-        while True:
-            ids[pos] = prows[0][0]
-            # next realization: the lowest-index node moves fastest
-            for k, (i, size, stride) in enumerate(digits):
-                if at[k] + 1 < size:
-                    break
-                pos -= at[k] * stride
-                at[k] = 0
-                vals[i] = dp.sums[i][0]
-            else:
-                return ids
-            at[k] += 1
-            pos += stride
-            vals[i] = dp.sums[i][at[k]]
-            for h in range(min(i, n - 2), -1, -1):
-                dp.row(h, vals[h], vrows, prows)
-
     # -- aggregated statistics ----------------------------------------
 
     def _annotate(self, spec: OfflineSpec) -> _SpecData:
         data = self._specs.get(spec)
         if data is not None:
             return data
+        if spec.fallback is not None:
+            chain_nodes(self.inst, spec.fallback, "fallback", InvalidInstanceError)
         best = self._best_ids
         dp = self._dp
         inst = self.inst
@@ -467,6 +460,8 @@ class Oracle:
         """Per outcome of `node`: the law of the offline selection's edge
         out of it given that outcome, one column per out-edge in order,
         then one for None (the selection avoids the node)."""
+        if node not in self.inst.node_index:
+            raise InvalidInstanceError(f"unknown node {node!r}")
         laws = self._annotate(spec).laws.get(self.inst.node_index[node])
         if laws is None:
             raise InvalidInstanceError(f"node {node!r} has no outcome table")

@@ -245,6 +245,48 @@ def policy_tree(inst, focal, laws, accept):
     }
 
 
+def path_order(inst, focal):
+    order = [inst.edges[focal[0]].src]
+    for eid in focal:
+        order.append(inst.edges[eid].dst)
+    return order
+
+
+def unlabeled_tree_accept(inst, focal, xs, q=0):
+    """Acceptance dict for the width-1 alpha rule with divisor 2 - q (the
+    plain rule at q = 0), recomputed from the brute-forced selection
+    probabilities (independent of the package)."""
+    order = path_order(inst, focal)
+    pos = {n: i for i, n in enumerate(order)}
+    accept = {eid: 1 for eid in focal}
+    for i in range(len(focal)):
+        span = [
+            e.id
+            for e in inst.edges
+            if e.src in pos and e.dst in pos and pos[e.src] < i < pos[e.dst]
+        ]
+        visit = 1 - sum(xs[eid] for eid in span) / (2 - q)
+        alpha = 1 / (2 - q) / visit
+        u = order[i]
+        for e in inst.out_edges[inst.node_index[u]]:
+            if e.id != focal[i] and e.dst in pos:
+                accept[e.id] = alpha
+    return accept
+
+
+def staged_tree_accept(inst, focal, laws, divisor):
+    """Feed the execution tree its own arrival masses stage by stage to
+    rebuild the labeled acceptance rule without touching the engine."""
+    order = path_order(inst, focal)
+    accept = {}
+    for i in range(len(focal)):
+        stats = policy_tree(inst, focal, laws, accept)
+        for e in inst.out_edges[inst.node_index[order[i]]]:
+            p = stats["feasibility"][e.id]
+            accept[e.id] = min(1, 1 / (divisor * p)) if p > 0 else 0
+    return accept
+
+
 def closed_cuts(inst):
     """Every source side S of a one-crossing cut: source in S, sink not,
     and no edge enters S from outside.  Yields the forward edge sets."""

@@ -18,10 +18,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruteforce import all_feasible_paths, offline_statistics, online_value
+from bruteforce import (
+    all_feasible_paths, best_feasible_path, iter_realizations, offline_statistics, online_value, policy_tree,
+    staged_tree_accept, unlabeled_tree_accept,
+)
 from conftest import float_twin
-from pathprophet import Instance, Oracle, min_path_cover, restricted_spec, validate_instance
+from pathprophet import (
+    POLICIES, Instance, Oracle, PathProphetError, evaluate_focal_policy, min_path_cover, prepare_policy,
+    restricted_spec, validate_instance,
+)
 from pathprophet.oracle import OPT, OfflineSpec
+from pathprophet.policies import AlphaSchedule, FocalRun
 
 EXACT_VALUES = (0, 1, 2, Fraction(1, 2), Fraction(1, 3), Fraction(3, 2))
 FLOAT_VALUES = (0.0, 0.5, 1.0, 0.1, 1 / 3)
@@ -44,7 +51,7 @@ def instances(draw) -> Instance:
     # each label binds: its capacity is below the number of labeled twins that carry it
     labels = {}
     for lbl in ("L0", "L1")[: draw(st.integers(0, 2))]:
-        labels[lbl] = draw(st.integers(1, 2))
+        labels[lbl] = draw(st.integers(1, min(2, len(pairs) - 1)))  # at most len(pairs) twins can carry it
         carriers = draw(st.lists(st.integers(0, len(pairs) - 1), min_size=labels[lbl] + 1,
                                  max_size=labels[lbl] + 2, unique=True))
         edges += [(nodes[pairs[e][0]], nodes[pairs[e][1]], (lbl,)) for e in carriers]
@@ -71,6 +78,11 @@ def instances(draw) -> Instance:
     assert validate_instance(inst).ok
     assert 1 <= len(min_path_cover(inst).paths) <= width
     return inst
+
+
+def best_paths(orc: Oracle) -> list[tuple[int, ...]]:
+    """The shared pass's best path per realization, in product order."""
+    return [orc._dp.path(pid) for pid in orc._best_ids]
 
 
 def holds_float(inst: Instance) -> bool:
@@ -176,3 +188,128 @@ def test_offline_statistics_match_the_brute_force(inst):
         got_twin = statistics(twin, spec)
         assert_agree(got_twin, reference(twin, spec), 1e-12)
         assert_agree(got_twin, got, 1e-9)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(instances())
+def test_both_shared_passes_give_each_realization_its_best_path(inst):
+    """The recursion below `DISTINCT_ROWS_FROM` and the distinct-row pass
+    above it, each run on every table, against the path search: the same
+    path on tables without a float; on tables with one, the same path
+    from both passes, worth the best within 1e-12 relative (the DP adds
+    from the sink up, so exact ties can round apart, as in
+    `FLOAT_TIE_BREAK`)."""
+    for table in (inst, float_twin(inst)):
+        orc = Oracle(table)
+        paths = all_feasible_paths(table)
+        ids = orc._dp.ids()
+        assert ids == orc._distinct_row_ids()
+        for pid, (_, values, _) in zip(ids, iter_realizations(table), strict=True):
+            want, best = best_feasible_path(paths, values)
+            got = orc._dp.path(pid)
+            if holds_float(table):
+                assert got in paths and sum(values[e] for e in got) == pytest.approx(best, rel=1e-12, abs=0)
+            else:
+                assert got == want
+
+
+# Shrunk from the shared-pass property: the paths (0, 7, 4, 5) and (3, 4, 5) are both worth 7/3, and
+# the exact table takes the first.  On the float twin both are worth 2 + float(1/3) exactly, but the DP
+# adds from the sink up, rounds the first to 2.333333333333333 and the second to 2.3333333333333335, and
+# takes the second.
+FLOAT_TIE_BREAK = Instance.build(
+    ["v0", "v1", "v2", "v3", "v4", "v5"],
+    [("v0", "v1", ()), ("v1", "v2", ()), ("v2", "v5", ()), ("v0", "v3", ()), ("v3", "v4", ()), ("v4", "v5", ()),
+     ("v1", "v2", ()), ("v1", "v3", ())],
+    outcomes={"v0": [(Fraction(1), {0: 1, 3: 2})], "v1": [(Fraction(1), {1: 0, 6: 0, 7: 1})],
+              "v2": [(Fraction(1), {2: 0})], "v3": [(Fraction(1), {4: 0})], "v4": [(Fraction(1), {5: Fraction(1, 3)})]},
+)
+
+
+def test_the_float_tie_break_stays_pinned():
+    twin = float_twin(FLOAT_TIE_BREAK)
+    for table, path in ((FLOAT_TIE_BREAK, (0, 7, 4, 5)), (twin, (3, 4, 5))):
+        orc = Oracle(table)
+        assert best_paths(orc) == [orc.opt_path([0] * 6).edges] == [path]
+    values = next(iter_realizations(twin))[1]
+    assert best_feasible_path(all_feasible_paths(twin), values)[0] == (0, 7, 4, 5)
+    assert sum(map(Fraction, (1, 1, 0, values[5]))) == sum(map(Fraction, (2, 0, values[5])))
+
+
+def prepared_runs(inst: Instance) -> dict[str, tuple[FocalRun, ...]]:
+    """The focal runs of each policy that `prepare_policy` accepts."""
+    out = {}
+    for name in POLICIES:
+        try:
+            out[name] = prepare_policy(inst, name).runs
+        except PathProphetError:
+            pass
+    return out
+
+
+def run_statistics(run: FocalRun) -> tuple[dict, dict]:
+    """The engine's value and `take_prob` on one focal run, and under the
+    labeled rule its feasibility, beside the execution tree's.  The tree
+    draws tentatives from the run oracle's choice laws and rebuilds the
+    acceptances from its `x` (alpha rule) or from its own arrival masses
+    (labeled rule); `test_offline_statistics_match_the_brute_force`
+    checks those laws and `x`."""
+    graph, focal, oracle, spec, rule = run
+    alpha = isinstance(rule, AlphaSchedule)
+    engine = evaluate_focal_policy(graph, focal, oracle, spec, schedule=rule if alpha else None)
+    laws = {name: [oracle.conditional_choice_distribution(name, o, spec) for o in range(len(table))]
+            for name, table in zip(graph.nodes, graph.tables) if table}
+    if alpha:
+        accept = unlabeled_tree_accept(graph, focal, oracle.edge_probabilities(spec), rule.q)
+    else:
+        accept = staged_tree_accept(graph, focal, laws, graph.max_labels_per_edge + 2)
+    tree = policy_tree(graph, focal, laws, accept)
+    got = {"value": engine.value, **{("take", e): v for e, v in engine.take_prob.items()}}
+    want = {"value": tree["value"], **{("take", e): v for e, v in tree["taken"].items()}}
+    if not alpha:
+        got.update({("feas", e): v for e, v in engine.feasibility.items()})
+        want.update({("feas", e): v for e, v in tree["feasibility"].items()})
+    return got, want
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(instances())
+def test_policies_match_the_execution_tree(inst):
+    """Every focal run of every policy that prepares, the float twin's
+    too, within 1e-12 relative of the tree; the twin within 1e-9
+    relative of its table where its prophet takes the table's path in
+    every realization (rounding a value to a float can make or break a
+    tie between two paths, and then the twin's laws are another
+    prophet's).  The engine's numbers on a table without a float are
+    floats, as in `ENGINE_FLOAT_LEAK`, so they are not compared for
+    equality."""
+    twin = float_twin(inst)
+    runs, twin_runs = prepared_runs(inst), prepared_runs(twin)
+    assert runs.keys() == twin_runs.keys()
+    for name in runs:
+        for run, twin_run in zip(runs[name], twin_runs[name], strict=True):
+            got, want = run_statistics(run)
+            assert_agree(got, want, 1e-12)
+            got_twin, want_twin = run_statistics(twin_run)
+            assert_agree(got_twin, want_twin, 1e-12)
+            if best_paths(twin_run.oracle) == best_paths(run.oracle):
+                assert_agree(got_twin, got, 1e-9)
+
+
+# Shrunk from the policy property with equality on tables without a float: on this exact table the labeled
+# engine's arrival mass 1 at the source sums to the float 1.0 (`stable_sum` of one int), so edge 0's coin
+# and take probability are the float 0.3333333333333333 where the tree's are Fraction(1, 3).
+ENGINE_FLOAT_LEAK = Instance.build(
+    ["v0", "v1", "v2"],
+    [("v0", "v1", ()), ("v1", "v2", ()), ("v0", "v1", ("L0",)), ("v1", "v2", ("L0",))],
+    {"L0": 1},
+    {"v0": [(Fraction(1), {0: 0, 2: 0})], "v1": [(Fraction(1), {1: 0, 3: 0})]},
+)
+
+
+def test_the_engine_float_leak_stays_pinned():
+    assert ENGINE_FLOAT_LEAK.exact
+    (run,) = prepare_policy(ENGINE_FLOAT_LEAK, "width1-labeled").runs
+    got, want = run_statistics(run)
+    assert want["take", 0] == Fraction(1, 3)
+    assert repr(got["take", 0]) == "0.3333333333333333" and repr(got["feas", 0]) == "1.0"

@@ -8,6 +8,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -34,6 +35,7 @@ from pathprophet import (
     realization_count,
     restricted_spec,
 )
+from pathprophet.instances import two_candidate
 from pathprophet.oracle import DISTINCT_ROWS_FROM, OPT
 
 from bruteforce import (
@@ -125,9 +127,38 @@ def test_shared_pass_matches_bruteforce_per_realization():
         realizations = list(iter_realizations(inst))  # product order, like the shared pass
         assert len(best) == len(realizations)
         # on one oracle both passes intern the same paths under the same ids
-        assert orc._distinct_row_ids() == best == orc._odometer_ids(len(best))
+        assert orc._distinct_row_ids() == best == orc._dp.ids()
         for pid, (_, values, _) in zip(best, realizations):
             assert orc._dp.path(pid) == best_feasible_path(paths, values)[0]
+
+
+def test_small_table_pass_recurses_only_at_nodes_with_several_outcomes():
+    # a chain longer than the lowered limit, with two hops per link at six nodes of two outcomes each, whose
+    # first hop wins in one outcome and the second in the other: 64 realizations, each its own best path
+    limit = 150
+    n = limit + 50
+    nodes = [f"v{i}" for i in range(n)]
+    forks = range(0, n - 1, (n - 1) // 5)[:6]
+    edges = [(nodes[i], nodes[i + 1], ()) for i in range(n - 1) for _ in range(1 + (i in forks))]
+    start = [*accumulate((1 + (i in forks) for i in range(n - 1)), initial=0)]
+    outcomes = {nodes[i]: [(Fraction(1), {start[i]: 1})] for i in range(n - 1)}
+    half = Fraction(1, 2)
+    for i in forks:
+        outcomes[nodes[i]] = [(half, {start[i]: 1, start[i] + 1: 0}), (half, {start[i]: 0, start[i] + 1: 1})]
+    inst = Instance.build(nodes, edges, outcomes=outcomes)
+    assert len(forks) == 6 and realization_count(inst) == 64 < DISTINCT_ROWS_FROM
+    orc = Oracle(inst)
+    orc._dp  # built before the limit drops, so that only the pass runs under it
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        best = orc._best_ids
+    finally:
+        sys.setrecursionlimit(old)
+    paths = all_feasible_paths(inst)
+    assert [orc._dp.path(pid) for pid in best] == [best_feasible_path(paths, values)[0]
+                                                   for _, values, _ in iter_realizations(inst)]
+    assert len(set(best)) == 64
 
 
 def test_offline_statistics_match_bruteforce():
@@ -340,6 +371,17 @@ def test_dead_source_is_refused_alike():
     for query in (Oracle.expected_opt, Oracle.optimal_online_value):
         with pytest.raises(InvalidInstanceError, match="^source cannot reach sink within label capacities$"):
             query(Oracle(inst))
+
+
+def test_oracle_refuses_a_spec_or_node_it_cannot_answer():
+    orc = Oracle(two_candidate())
+    # the fallback (2,) leaves node 2, not the source; 99 is no edge id
+    with pytest.raises(InvalidInstanceError, match="^fallback edge 2 does not continue the path at '1'$"):
+        orc.expected_opt(restricted_spec([0], [2]))
+    with pytest.raises(InvalidInstanceError, match="^fallback path names 99, which is not an edge id"):
+        orc.edge_probabilities(restricted_spec([0], [99]))
+    with pytest.raises(InvalidInstanceError, match="^unknown node 'nope'$"):
+        orc.choice_laws("nope")
 
 
 def test_online_state_cap():

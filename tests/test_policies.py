@@ -38,7 +38,10 @@ from pathprophet import policies
 from pathprophet.cover import PathCover
 from pathprophet.policies import build_contracted_instance, run_modified_width1
 
-from bruteforce import iter_realizations, offline_statistics, online_value, policy_tree
+from bruteforce import (
+    iter_realizations, offline_statistics, online_value, path_order, policy_tree, staged_tree_accept,
+    unlabeled_tree_accept,
+)
 from conftest import dag_fuzz, diamond, labeled_fuzz, strands_fuzz, width1_fuzz
 
 SMALL = [j for j in range(40) if 4 + j % 4 <= 5]  # fuzz seeds giving <= 5 nodes
@@ -46,47 +49,6 @@ SMALL = [j for j in range(40) if 4 + j % 4 <= 5]  # fuzz seeds giving <= 5 nodes
 
 def focal_of(inst):
     return min_path_cover(inst).paths[0]
-
-
-def path_order(inst, focal):
-    order = [inst.edges[focal[0]].src]
-    for eid in focal:
-        order.append(inst.edges[eid].dst)
-    return order
-
-
-def unlabeled_tree_accept(inst, focal, xs):
-    """Acceptance dict for the plain width-1 rule, recomputed from the
-    brute-forced selection probabilities (independent of the package)."""
-    order = path_order(inst, focal)
-    pos = {n: i for i, n in enumerate(order)}
-    accept = {eid: 1 for eid in focal}
-    for i in range(len(focal)):
-        span = [
-            e.id
-            for e in inst.edges
-            if e.src in pos and e.dst in pos and pos[e.src] < i < pos[e.dst]
-        ]
-        visit = 1 - sum(xs[eid] for eid in span) / 2
-        alpha = 0.5 / visit
-        u = order[i]
-        for e in inst.out_edges[inst.node_index[u]]:
-            if e.id != focal[i] and e.dst in pos:
-                accept[e.id] = alpha
-    return accept
-
-
-def staged_tree_accept(inst, focal, laws, divisor):
-    """Feed the execution tree its own arrival masses stage by stage to
-    rebuild the labeled acceptance rule without touching the engine."""
-    order = path_order(inst, focal)
-    accept = {}
-    for i in range(len(focal)):
-        stats = policy_tree(inst, focal, laws, accept)
-        for e in inst.out_edges[inst.node_index[order[i]]]:
-            p = stats["feasibility"][e.id]
-            accept[e.id] = min(1, 1 / (divisor * p)) if p > 0 else 0
-    return accept
 
 
 def test_unlabeled_engine_matches_execution_tree():
