@@ -9,7 +9,9 @@ is obtained on graphs wider than one path.
 
 A prepared policy (`PreparedPolicy`) is a list of focal runs with its
 guarantee: one run on the instance for `width1`, `width1-labeled` and
-`disjoint`, one per cover path's contraction for `general`.
+`disjoint`, one per cover path's contraction for `general`.  Only the
+sampler finds the connector routes a walk replays: exact evaluation
+computes none.
 `prepare_policy` builds it from a registry of one prepare function per
 name, which also gives `POLICIES`.  Each prepare function builds its
 runs and `PreparedPolicy` once, in final form, on one `Oracle` of the
@@ -68,7 +70,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from typing import Any, NamedTuple, Sequence
 
 from .cover import PathCover, chain_nodes, cover_from_paths, min_path_cover, shortest_unlabeled_path
@@ -161,30 +163,33 @@ def alpha_schedule(
     `q` is the probability that the offline baseline equals the focal
     path itself; it is 0 for the plain width-1 policy and positive for
     the strand-restricted variant.  Raises ScheduleError when x and q
-    cannot have come from a baseline living on this focal path.
+    cannot have come from a baseline living on this focal path.  It
+    reads each edge once, and sums x_e over the edges skipping a
+    position in edge-id order.
     """
     if len(x) != len(inst.edges):
         raise ScheduleError(f"x has {len(x)} entries for {len(inst.edges)} edges")
     order = path_nodes(inst, focal)
     pos = {name: i for i, name in enumerate(order)}
+    m = len(focal)
+    spans: list[list[float]] = [[] for _ in range(m + 1)]  # per position: x of each edge skipping it, in id order
     for e in inst.edges:
-        if (e.src not in pos or e.dst not in pos) and x[e.id] > TOL:  # off the surface first: no float TOL vs Fraction x
+        i, j = pos.get(e.src), pos.get(e.dst)
+        if i is not None and j is not None:
+            for k in range(i + 1, j):
+                spans[k].append(x[e.id])
+        elif x[e.id] > TOL:  # off the surface before any sum: no float TOL vs Fraction x
             raise ScheduleError(
                 "x/q inconsistent with focal path: "
                 f"offline mass {float(x[e.id]):.6g} sits on edge {e.id} off the focal surface"
             )
     divisor = 2 - q
-    m = len(focal)
     alphas = []
     visits = []
     hi = 1 - q + 1e-9  # a float; a Fraction sum meets it converted once per call, not once per comparison
     exact_hi = Fraction.from_float(hi) if inst.exact else hi
-    for i in range(m + 1):
-        skipped = stable_sum(
-            x[e.id]
-            for e in inst.edges
-            if e.src in pos and e.dst in pos and pos[e.src] < i < pos[e.dst]
-        )
+    for i, terms in enumerate(spans):
+        skipped = stable_sum(terms)
         if skipped > (exact_hi if isinstance(skipped, Fraction) else hi):
             raise ScheduleError(
                 "x/q inconsistent with focal path: "
@@ -539,7 +544,9 @@ class FocalWalker:
 class PolicyWalk:
     """A policy's trajectory sampler, compiled by one sampler call: one
     walker per cover path.  With several, one is picked uniformly and
-    its contracted walk replayed on `inst` through `contracted`.  A
+    its contracted walk replayed on `inst`: each contracted edge as its
+    original edge, then the fewest-edge unlabeled route from that edge's
+    head to the contracted head, one BFS here per (head, target).  A
     walk's value is the float of its exact sum over the value numerators
     of `inst.scale`, and a trial's realization is `sample_realization`
     on the trial's stream."""
@@ -554,8 +561,13 @@ class PolicyWalk:
         self.inst = inst
         self.walkers = tuple(walkers)
         self.sub_index = sub_index
+        route = cache(partial(shortest_unlabeled_path, inst))
         # per cover path and contracted edge: the real edges it replays as
-        self.replay = contracted and [ci.edges for ci in contracted]
+        self.replay = contracted and [
+            [(orig, *(route(head, e.dst) if (head := inst.edges[orig].dst) != e.dst else ()))
+             for orig, e in zip(ci.edges, ci.graph.edges)]
+            for ci in contracted
+        ]
         self.src = [inst.node_index[e.src] for e in inst.edges]
         self.nums, self.den = inst.scale.nums, inst.scale.den
 
@@ -671,11 +683,11 @@ def _labeled_run(inst: Instance, focal: tuple[int, ...], oracle: Oracle) -> Foca
 
 @dataclass(frozen=True)
 class ContractedInstance:
+    """A cover path's contraction, without connector routes: `PolicyWalk` finds those."""
+
     graph: Instance
     focal: tuple[int, ...]  # new ids of the cover path's edges
-    # per new edge id: its original id, then the original unlabeled
-    # connector edges appended on replay
-    edges: tuple[tuple[int, ...], ...]
+    edges: tuple[int, ...]  # per new edge id: its original id
 
 
 def build_contracted_instance(inst: Instance, cover: PathCover, index: int) -> ContractedInstance:
@@ -684,58 +696,35 @@ def build_contracted_instance(inst: Instance, cover: PathCover, index: int) -> C
     Nodes are the path's nodes.  Every original edge leaving a path
     node is kept: an edge whose head v is off the path becomes an
     artificial edge to the earliest path node unlabeled-reachable from
-    v, carrying the original value law; the fewest-edge unlabeled route
-    v -> that node is stored for replay.  Guarantees ignore connector
-    values, so earliest (not nearest) is what keeps the projected
-    prophet an upper bound piece.
+    v, carrying the original value law.  Only each new edge's original
+    id is stored; the sampler (`PolicyWalk`) finds the route v -> that
+    node it replays.  Guarantees ignore connector values, so earliest
+    (not nearest) is what keeps the projected prophet an upper bound
+    piece.
     """
     if not 0 <= index < cover.width:
         raise CoverError(f"cover has {cover.width} paths, no index {index}")
-    path_edges = cover.paths[index]
     order = cover.node_orders[index]
     pos = {name: i for i, name in enumerate(order)}
 
-    n = len(inst.nodes)
-    earliest: list[int | None] = [None] * n
-    for name, p in pos.items():
-        earliest[inst.node_index[name]] = p
-    for vi in range(n - 1, -1, -1):
-        if inst.nodes[vi] in pos:
-            continue
-        best: int | None = None
-        for e in inst.out_edges[vi]:
-            if e.labels:
-                continue
-            sub = earliest[inst.node_index[e.dst]]
-            if sub is not None and (best is None or sub < best):
-                best = sub
-        earliest[vi] = best
-
-    @cache
-    def connector_for(v: str) -> tuple[int, ...]:
-        return shortest_unlabeled_path(inst, v, order[earliest[inst.node_index[v]]])
+    # per node: the earliest path position unlabeled-reachable from it
+    earliest: list[int | None] = [pos.get(name) for name in inst.nodes]
+    for vi in range(len(inst.nodes) - 1, -1, -1):
+        if earliest[vi] is None:
+            subs = [earliest[inst.node_index[e.dst]] for e in inst.out_edges[vi] if not e.labels]
+            earliest[vi] = min([sub for sub in subs if sub is not None], default=None)
 
     edge_specs: list[tuple[str, str, frozenset[str]]] = []
-    replay: list[tuple[int, ...]] = []
-    new_of: dict[int, int] = {}
+    new_of: dict[int, int] = {}  # in new-id order
     for u in order[:-1]:
-        ui = inst.node_index[u]
-        for e in inst.out_edges[ui]:
-            v = e.dst
-            if v in pos:
-                target = v
-                conn: tuple[int, ...] = ()
-            else:
-                ep = earliest[inst.node_index[v]]
-                if ep is None:
-                    raise CoverError(
-                        f"edge {e.id} strands the walker: no unlabeled route from {v!r} back to the cover path"
-                    )
-                target = order[ep]
-                conn = connector_for(v)
+        for e in inst.out_edges[inst.node_index[u]]:
+            ep = earliest[inst.node_index[e.dst]]
+            if ep is None:
+                raise CoverError(
+                    f"edge {e.id} strands the walker: no unlabeled route from {e.dst!r} back to the cover path"
+                )
             new_of[e.id] = len(edge_specs)
-            edge_specs.append((u, target, e.labels))
-            replay.append((e.id, *conn))
+            edge_specs.append((u, order[ep], e.labels))
 
     outcomes = {}
     for u in order[:-1]:
@@ -751,8 +740,8 @@ def build_contracted_instance(inst: Instance, cover: PathCover, index: int) -> C
         outcomes=outcomes,
         meta={"cover_path": index},
     )
-    focal = tuple(new_of[eid] for eid in path_edges)
-    return ContractedInstance(graph, focal, tuple(replay))
+    focal = tuple(new_of[eid] for eid in cover.paths[index])
+    return ContractedInstance(graph, focal, tuple(new_of))
 
 
 def prepare_general_cover(inst: Instance, cover: PathCover | None = None) -> PreparedPolicy:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 from pathprophet import Instance, generate_random_instance, instance_from_dict, instance_to_dict
 
@@ -45,6 +46,23 @@ def diamond() -> Instance:
             "b": [(0.5, {3: 0.0}), (0.5, {3: 1.5})],
         },
     )
+
+
+def ladder(n: int) -> Instance:
+    """Width-2 ladder: chains s, a0..a(n-1), t and s, b0..b(n-1), t with
+    rungs a(i) -> b(i+1), one outcome per node.  Contracted onto the a
+    chain, rung i replays the b chain from b(i+1) to t: n - 1 - i edges."""
+    a, b = [f"a{i}" for i in range(n)] + ["t"], [f"b{i}" for i in range(n)] + ["t"]
+    chains = [("s", a[0]), ("s", b[0])] + [(a[i], a[i + 1]) for i in range(n)] + [(b[i], b[i + 1]) for i in range(n)]
+    rungs = [(a[i], b[i + 1]) for i in range(n - 1)]
+    values: dict[str, dict[int, Fraction]] = {}
+    for eid, (u, _) in enumerate(chains):
+        values.setdefault(u, {})[eid] = Fraction(1, 3)
+    for i, (u, _) in enumerate(rungs):
+        values[u][len(chains) + i] = Fraction(n - i, 2)
+    nodes = ["s", *(v for pair in zip(a[:-1], b[:-1]) for v in pair), "t"]
+    outcomes = {u: [(Fraction(1), vals)] for u, vals in values.items()}
+    return Instance.build(nodes, [(u, v, ()) for u, v in chains + rungs], outcomes=outcomes)
 
 
 def many_binding_labels(k=23):

@@ -13,7 +13,10 @@ inputs:
   `perfbench/workloads.build_jobs`, each with its job's policy;
 * the four fuzz makers of `tests/conftest.py` (j < 40) and every named
   family at its default parameters, each with its JSON float twin and
-  every policy.
+  every policy;
+* `conftest.ladder(8)` and its JSON float twin with every policy: its
+  `general` walks replay connectors of up to 7 edges, where the fuzz
+  makers' connectors have at most 3.
 
 Layers, each reached through public calls only:
 
@@ -94,6 +97,7 @@ def float_twin(api, inst):
 
 def corpus(api) -> list[tuple[str, object, tuple[str, ...]]]:
     """(key, instance, policies) for every instance of the corpus."""
+    import conftest
     import workloads
 
     out = []
@@ -104,6 +108,8 @@ def corpus(api) -> list[tuple[str, object, tuple[str, ...]]]:
                 for job in jobs:
                     key = f"{workload}/{seed}/{job.key}"
                     out += [(f"{key}#frac", job.frac, (job.policy,)), (f"{key}#float", job.twin, (job.policy,))]
+    ladder, everything = conftest.ladder(8), api.policies.POLICIES
+    out += [("ladder(8)#exact", ladder, everything), ("ladder(8)#float", float_twin(api, ladder), everything)]
     return out + named_corpus(api, FUZZ_COUNT)
 
 

@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from conftest import dag_fuzz, labeled_fuzz, strands_fuzz, width1_fuzz
+from conftest import dag_fuzz, labeled_fuzz, ladder, strands_fuzz, width1_fuzz
 from pathprophet import Oracle, instance_from_dict, instance_to_dict, min_path_cover, save_instance
 from pathprophet.cli import main
 from pathprophet.policies import feasibility_probabilities
@@ -75,12 +75,18 @@ TRACES = {
         step("v3", 0, 8, True, 0.8369544867906306, 7),
         step("v4", 1, 9, True, 0.4369728195369288, 9),
     ]),
+    # taken at commit 0aa977a: the rung a0 -> b1 (real edge 18), then the 7-edge connector b1 -> ... -> t
+    "general/ladder(8)": (ladder(8), [0, 18, 11, 12, 13, 14, 15, 16, 17], 6.666666666666666, 0, [
+        step("s", 0, 0, True, 0.05796346851470513, 0),
+        step("a0", 0, 3, True, 0.12568793055335237, 3),
+    ]),
 }
 
 
-@pytest.mark.parametrize("policy", sorted(TRACES))
-def test_trace_steps_are_pinned(policy, tmp_path, capsys):
-    inst, edges, value, sub_index, steps = TRACES[policy]
+@pytest.mark.parametrize("case", sorted(TRACES))
+def test_trace_steps_are_pinned(case, tmp_path, capsys):
+    inst, edges, value, sub_index, steps = TRACES[case]
+    policy = case.split("/")[0]
     path = tmp_path / "inst.json"
     save_instance(inst, str(path))
     assert main(["trace", str(path), "--policy", policy, "--seed", "5", "--json"]) == 0

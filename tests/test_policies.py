@@ -375,6 +375,30 @@ def test_general_replay_produces_real_walks():
         assert traj.sub_index in range(prepared.width)
 
 
+@pytest.mark.parametrize("name", ["grid", "markets", "dag_fuzz(35)"])
+def test_only_the_sampler_computes_connector_routes(name, monkeypatch):
+    inst = dag_fuzz(35) if name == "dag_fuzz(35)" else generate_paper_instance(name)
+    real = policies.shortest_unlabeled_path
+
+    def refuse(*args):
+        raise AssertionError("exact evaluation computed a connector route")
+
+    monkeypatch.setattr(policies, "shortest_unlabeled_path", refuse)
+    prepared = prepare_policy(inst, "general")
+    prepared.exact_value()
+    heads = {
+        (inst.edges[orig].dst, e.dst)
+        for ci in prepared.contracted
+        for orig, e in zip(ci.edges, ci.graph.edges)
+        if inst.edges[orig].dst != e.dst
+    }
+    assert heads, "no contracted edge leaves its cover path"
+    calls = []
+    monkeypatch.setattr(policies, "shortest_unlabeled_path", lambda *args: calls.append(args[1:]) or real(*args))
+    prepared.sampler()
+    assert sorted(calls) == sorted(heads)  # one route per (head, target), none on the path
+
+
 # -- disjoint strands --------------------------------------------------------
 
 
