@@ -10,6 +10,8 @@ equally small covers.
 `cover_from_paths` builds every `PathCover`, from explicit edge-id
 paths, and `chain_nodes` is the one check that an edge-id path (a cover
 path here, a focal path in `policies`) chains from source to sink.
+`unlabeled_hops` is the one connector rule: it joins chain nodes here,
+and gives a contracted edge in `policies` its head and replayed route.
 """
 
 from __future__ import annotations
@@ -36,37 +38,31 @@ class PathCover:
         return len(self.paths)
 
 
-def shortest_unlabeled_path(inst: Instance, src: str, dst: str) -> tuple[int, ...]:
-    """Fewest-edge path from src to dst using unlabeled edges only.
-
-    Deterministic: BFS expands nodes in discovery order and scans
-    out-edges in id order, so ties resolve to the smallest edge ids.
-    Raises CoverError when dst cannot be reached without labels.
-    """
-    si, di = inst.node_index[src], inst.node_index[dst]
-    if si == di:
-        return ()
-    via: dict[int, int] = {}
-    queue = deque([si])
-    while queue:
-        u = queue.popleft()
-        for e in inst.out_edges[u]:
-            if e.labels:
+def unlabeled_hops(inst: Instance, stops: Sequence[int]) -> tuple[list[int | None], list[int | None]]:
+    """Per node v, in one pass from the sink up: `first[v]`, the earliest
+    of `stops` (node indices in node order) that v's unlabeled, forward
+    edges reach (for a stop, the next stop it reaches), and `hop[v]`, the
+    first edge of the fewest-edge route there, ties to the lowest edge id
+    (both None if none).  Following `hop` gives the route a BFS scanning
+    out-edges in id order finds; it passes no other, earlier stop."""
+    n, idx, stop = len(inst.nodes), inst.node_index, set(stops)
+    first: list[int | None] = [None] * n
+    hop: list[int | None] = [None] * n
+    length = [0] * n  # edges on each node's route
+    for v in range(n - 1, -1, -1):
+        for e in inst.out_edges[v]:
+            w = idx[e.dst]
+            if e.labels or w <= v:
                 continue
-            v = inst.node_index[e.dst]
-            if v == si or v in via:
+            if w in stop:
+                t, d = w, 1
+            elif (t := first[w]) is None:
                 continue
-            via[v] = e.id
-            if v == di:
-                edges = []
-                w = di
-                while w != si:
-                    eid = via[w]
-                    edges.append(eid)
-                    w = inst.node_index[inst.edges[eid].src]
-                return tuple(reversed(edges))
-            queue.append(v)
-    raise CoverError(f"no unlabeled path from {src!r} to {dst!r}")
+            else:
+                d = length[w] + 1
+            if (best := first[v]) is None or t < best or (t == best and d < length[v]):
+                first[v], length[v], hop[v] = t, d, e.id
+    return first, hop
 
 
 def _reachability(inst: Instance) -> list[int]:
@@ -137,10 +133,11 @@ def min_path_cover(inst: Instance, seed: int | None = None) -> PathCover:
     """Cover all nodes with as few source-to-sink paths as possible.
 
     Chains of the reachability order come from a maximum matching on the
-    split bipartite graph; consecutive chain nodes are then joined by
-    fewest-edge unlabeled connectors, and every chain is completed with a
-    source prefix and sink suffix.  Passing a seed permutes the matching
-    adjacency, which can surface a different (equally small) cover.
+    split bipartite graph; every chain is completed with a source prefix
+    and sink suffix, and its consecutive nodes are joined by the
+    fewest-edge unlabeled connectors of one `unlabeled_hops` pass.
+    Passing a seed permutes the matching adjacency, which can surface a
+    different (equally small) cover.
     """
     n = len(inst.nodes)
     reach = _reachability(inst)
@@ -160,15 +157,18 @@ def min_path_cover(inst: Instance, seed: int | None = None) -> PathCover:
             chain.append(match_l[chain[-1]])
         chains.append(chain)
 
-    names = inst.nodes
+    names, idx = inst.nodes, inst.node_index
     paths = []
     for chain in chains:
+        stops = [0] * (chain[0] != 0) + chain + [n - 1] * (chain[-1] != n - 1)
+        first, hop = unlabeled_hops(inst, stops)
         edges: list[int] = []
-        hops = [0] + chain if chain[0] != 0 else list(chain)
-        if hops[-1] != n - 1:
-            hops.append(n - 1)
-        for a, b in zip(hops, hops[1:]):
-            edges.extend(shortest_unlabeled_path(inst, names[a], names[b]))
+        for a, b in zip(stops, stops[1:]):
+            if first[a] != b:
+                raise CoverError(f"no unlabeled path from {names[a]!r} to {names[b]!r}")
+            while a != b:
+                edges.append(hop[a])
+                a = idx[inst.edges[hop[a]].dst]
         paths.append(tuple(edges))
     if len(paths) != n - sum(1 for v in match_l if v != -1):
         raise CoverError("chain count disagrees with matching size")

@@ -446,7 +446,7 @@ def load_instance(path: str) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh, parse_constant=_reject_constant)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON, bytes off UTF-8, too deep, an int past the digit limit
             raise InvalidInstanceError(f"not valid JSON: {exc}") from exc
     return instance_from_dict(data)
 

@@ -10,8 +10,8 @@ is obtained on graphs wider than one path.
 A prepared policy (`PreparedPolicy`) is a list of focal runs with its
 guarantee: one run on the instance for `width1`, `width1-labeled` and
 `disjoint`, one per cover path's contraction for `general`.  Only the
-sampler finds the connector routes a walk replays: exact evaluation
-computes none.
+sampler expands the connector routes a walk replays, from the first
+edges a contraction keeps: exact evaluation expands none.
 `prepare_policy` builds it from a registry of one prepare function per
 name, which also gives `POLICIES`.  Each prepare function builds its
 runs and `PreparedPolicy` once, in final form, on one `Oracle` of the
@@ -70,10 +70,9 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, partial
 from typing import Any, NamedTuple, Sequence
 
-from .cover import PathCover, chain_nodes, cover_from_paths, min_path_cover, shortest_unlabeled_path
+from .cover import PathCover, chain_nodes, cover_from_paths, min_path_cover, unlabeled_hops
 from .errors import CoverError, PolicyError, ScheduleError
 from .model import Instance, sample_realization
 from .oracle import OPT, OfflineSpec, Oracle, restricted_spec
@@ -546,10 +545,10 @@ class PolicyWalk:
     walker per cover path.  With several, one is picked uniformly and
     its contracted walk replayed on `inst`: each contracted edge as its
     original edge, then the fewest-edge unlabeled route from that edge's
-    head to the contracted head, one BFS here per (head, target).  A
-    walk's value is the float of its exact sum over the value numerators
-    of `inst.scale`, and a trial's realization is `sample_realization`
-    on the trial's stream."""
+    head to the contracted head, expanded here from the contraction's
+    `hop`, every node's once, from the sink up.  A walk's value is the
+    float of its exact sum over the value numerators of `inst.scale`, and
+    a trial's realization is `sample_realization` on the trial's stream."""
 
     def __init__(
         self,
@@ -561,14 +560,16 @@ class PolicyWalk:
         self.inst = inst
         self.walkers = tuple(walkers)
         self.sub_index = sub_index
-        route = cache(partial(shortest_unlabeled_path, inst))
-        # per cover path and contracted edge: the real edges it replays as
-        self.replay = contracted and [
-            [(orig, *(route(head, e.dst) if (head := inst.edges[orig].dst) != e.dst else ()))
-             for orig, e in zip(ci.edges, ci.graph.edges)]
-            for ci in contracted
-        ]
         self.src = [inst.node_index[e.src] for e in inst.edges]
+        dst = [inst.node_index[e.dst] for e in inst.edges]
+        # per cover path and contracted edge: the real edges it replays as
+        self.replay: list[list[tuple[int, ...]]] = []
+        for ci in contracted or ():
+            routes: list[tuple[int, ...]] = [()] * len(inst.nodes)  # () on the cover path
+            for v in range(len(routes) - 1, -1, -1):
+                if (eid := ci.hop[v]) is not None:
+                    routes[v] = (eid, *routes[dst[eid]])
+            self.replay.append([(orig, *routes[dst[orig]]) for orig in ci.edges])
         self.nums, self.den = inst.scale.nums, inst.scale.den
 
     def _walk(
@@ -683,11 +684,12 @@ def _labeled_run(inst: Instance, focal: tuple[int, ...], oracle: Oracle) -> Foca
 
 @dataclass(frozen=True)
 class ContractedInstance:
-    """A cover path's contraction, without connector routes: `PolicyWalk` finds those."""
+    """A cover path's contraction; `PolicyWalk` expands connector routes from `hop`."""
 
     graph: Instance
     focal: tuple[int, ...]  # new ids of the cover path's edges
     edges: tuple[int, ...]  # per new edge id: its original id
+    hop: tuple[int | None, ...]  # per node of the instance off the path: its route's first edge, else None
 
 
 def build_contracted_instance(inst: Instance, cover: PathCover, index: int) -> ContractedInstance:
@@ -696,35 +698,32 @@ def build_contracted_instance(inst: Instance, cover: PathCover, index: int) -> C
     Nodes are the path's nodes.  Every original edge leaving a path
     node is kept: an edge whose head v is off the path becomes an
     artificial edge to the earliest path node unlabeled-reachable from
-    v, carrying the original value law.  Only each new edge's original
-    id is stored; the sampler (`PolicyWalk`) finds the route v -> that
-    node it replays.  Guarantees ignore connector values, so earliest
-    (not nearest) is what keeps the projected prophet an upper bound
-    piece.
+    v, carrying the original value law.  One `unlabeled_hops` pass over
+    the path's nodes gives that node and the first edge of the
+    fewest-edge route v -> that node; only that edge is stored per node,
+    and the sampler (`PolicyWalk`) expands the routes it replays.
+    Guarantees ignore connector values, so earliest (not nearest) is
+    what keeps the projected prophet an upper bound piece.
     """
     if not 0 <= index < cover.width:
         raise CoverError(f"cover has {cover.width} paths, no index {index}")
     order = cover.node_orders[index]
-    pos = {name: i for i, name in enumerate(order)}
-
-    # per node: the earliest path position unlabeled-reachable from it
-    earliest: list[int | None] = [pos.get(name) for name in inst.nodes]
-    for vi in range(len(inst.nodes) - 1, -1, -1):
-        if earliest[vi] is None:
-            subs = [earliest[inst.node_index[e.dst]] for e in inst.out_edges[vi] if not e.labels]
-            earliest[vi] = min([sub for sub in subs if sub is not None], default=None)
+    # per node: the earliest path node its unlabeled route reaches (a path node: itself), and the route's first edge
+    first, hop = unlabeled_hops(inst, stops := [inst.node_index[u] for u in order])
+    for i in stops:
+        first[i], hop[i] = i, None
 
     edge_specs: list[tuple[str, str, frozenset[str]]] = []
     new_of: dict[int, int] = {}  # in new-id order
     for u in order[:-1]:
         for e in inst.out_edges[inst.node_index[u]]:
-            ep = earliest[inst.node_index[e.dst]]
-            if ep is None:
+            head = first[inst.node_index[e.dst]]
+            if head is None:
                 raise CoverError(
                     f"edge {e.id} strands the walker: no unlabeled route from {e.dst!r} back to the cover path"
                 )
             new_of[e.id] = len(edge_specs)
-            edge_specs.append((u, order[ep], e.labels))
+            edge_specs.append((u, inst.nodes[head], e.labels))
 
     outcomes = {}
     for u in order[:-1]:
@@ -741,7 +740,7 @@ def build_contracted_instance(inst: Instance, cover: PathCover, index: int) -> C
         meta={"cover_path": index},
     )
     focal = tuple(new_of[eid] for eid in cover.paths[index])
-    return ContractedInstance(graph, focal, tuple(new_of))
+    return ContractedInstance(graph, focal, tuple(new_of), tuple(hop))
 
 
 def prepare_general_cover(inst: Instance, cover: PathCover | None = None) -> PreparedPolicy:

@@ -1,8 +1,9 @@
 """Slow reference implementations used only by the tests.
 
 Everything here enumerates explicitly (realizations, paths, the online
-walker's label usage, branches of a policy's coin tree, antichains) and
-shares no code with the package's fast paths, so agreement between the
+walker's label usage, branches of a policy's coin tree, antichains) or
+searches plainly (connector routes by breadth-first search) and shares
+no code with the package's fast paths, so agreement between the
 two is meaningful.  The two exceptions score realizations with the
 package's per-realization selection (`Oracle.opt_path`, itself checked
 against the path search here): the Monte Carlo conditional choice law,
@@ -16,9 +17,9 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from collections import defaultdict
+from collections import defaultdict, deque
 
-from pathprophet import StateCapError, sample_realization
+from pathprophet import CoverError, Instance, StateCapError, sample_realization
 from pathprophet.oracle import OPT
 from pathprophet.util import derive_seed, stable_sum
 
@@ -285,6 +286,39 @@ def staged_tree_accept(inst, focal, laws, divisor):
             p = stats["feasibility"][e.id]
             accept[e.id] = min(1, 1 / (divisor * p)) if p > 0 else 0
     return accept
+
+
+def shortest_unlabeled_path(inst: Instance, src: str, dst: str) -> tuple[int, ...]:
+    """Fewest-edge path from src to dst using unlabeled edges only.
+
+    Deterministic: BFS expands nodes in discovery order and scans
+    out-edges in id order, so ties resolve to the smallest edge ids.
+    Raises CoverError when dst cannot be reached without labels.
+    """
+    si, di = inst.node_index[src], inst.node_index[dst]
+    if si == di:
+        return ()
+    via: dict[int, int] = {}
+    queue = deque([si])
+    while queue:
+        u = queue.popleft()
+        for e in inst.out_edges[u]:
+            if e.labels:
+                continue
+            v = inst.node_index[e.dst]
+            if v == si or v in via:
+                continue
+            via[v] = e.id
+            if v == di:
+                edges = []
+                w = di
+                while w != si:
+                    eid = via[w]
+                    edges.append(eid)
+                    w = inst.node_index[inst.edges[eid].src]
+                return tuple(reversed(edges))
+            queue.append(v)
+    raise CoverError(f"no unlabeled path from {src!r} to {dst!r}")
 
 
 def closed_cuts(inst):

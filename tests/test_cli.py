@@ -363,6 +363,11 @@ MALFORMED = {
     # past int()'s digit limit for strings
     "long-value-key": '{"nodes": ["s", "t"], "edges": [{"src": "s", "dst": "t"}], "outcomes": {"s": [{"p": 1, "values": {"%s": 1}}]}}'
     % ("1" * 5000),
+    # bytes that are not UTF-8, arrays nested past the recursion limit, an int literal past the digit limit
+    "not-utf-8": b'{"nodes": ["s\xff", "t"]}',
+    "deep-nesting": "[" * 100_000,
+    "long-int-literal": '{"nodes": ["s", "t"], "edges": [{"src": "s", "dst": "t"}], "outcomes": {"s": [{"p": %s, "values": {"0": 1}}]}}'
+    % ("1" * 5000),
 }
 
 
@@ -370,7 +375,8 @@ MALFORMED = {
 @pytest.mark.parametrize("command", ["opt", "validate"])
 def test_malformed_documents_exit_3_with_one_line(tmp_path, capsys, doc, command):
     path = tmp_path / "inst.json"
-    path.write_text(MALFORMED[doc])
+    doc = MALFORMED[doc]
+    path.write_bytes(doc if isinstance(doc, bytes) else doc.encode())
     code, out, err = run(capsys, [command, str(path)])
     assert code == 3
     assert out == ""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import re
 import sys
 
@@ -19,10 +20,11 @@ from pathprophet import (
     generate_random_instance,
     min_path_cover,
 )
-from pathprophet.cover import cover_from_paths, shortest_unlabeled_path
-from pathprophet.policies import path_nodes
+from pathprophet import cover as cover_module
+from pathprophet.cover import cover_from_paths, unlabeled_hops
+from pathprophet.policies import build_contracted_instance, path_nodes
 
-from bruteforce import is_antichain, max_antichain_bruteforce
+from bruteforce import is_antichain, max_antichain_bruteforce, shortest_unlabeled_path
 from conftest import dag_fuzz, diamond, strands_fuzz, width1_fuzz
 
 
@@ -149,17 +151,77 @@ def test_min_path_cover_of_a_long_chain_needs_no_deep_recursion():
     assert cover.width == 1
 
 
+def follow(inst, hop, v, stop):
+    """The edges of the `hop` route from node index v until `stop(node index)` holds."""
+    edges = []
+    while not stop(v):
+        edges.append(hop[v])
+        v = inst.node_index[inst.edges[hop[v]].dst]
+    return tuple(edges)
+
+
 def test_shortest_unlabeled_path_is_shortest():
     inst = generate_paper_instance("grid", k=3, eps=0.01)
-    path = shortest_unlabeled_path(inst, inst.source, inst.sink)
+    sink = len(inst.nodes) - 1
+    first, hop = unlabeled_hops(inst, [0, sink])
+    assert first[0] == sink
+    path = follow(inst, hop, 0, lambda v: v == sink)
+    assert path == shortest_unlabeled_path(inst, inst.source, inst.sink)
     at = inst.source
     for eid in path:
         e = inst.edges[eid]
         assert e.src == at and not e.labels
         at = e.dst
     assert at == inst.sink
-    with pytest.raises(CoverError):
-        shortest_unlabeled_path(inst, inst.sink, inst.source)
+    # the chain s, a, t needs a connector s -> a, and the only s -> a edge is labeled
+    inst = Instance.build(["s", "a", "t"], [("s", "a", ("L",)), ("s", "t", ()), ("a", "t", ())], labels={"L": 1})
+    with pytest.raises(CoverError, match="no unlabeled path from 's' to 'a'"):
+        min_path_cover(inst)
+
+
+def random_dag(rng):
+    """A small DAG with parallel copies and labeled twins, its edge ids shuffled."""
+    n = rng.randint(3, 10)
+    pairs = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3}
+    for v in range(1, n - 1):  # every node on some source-sink path
+        if not any(b == v for _, b in pairs):
+            pairs.add((rng.randrange(v), v))
+        if not any(a == v for a, _ in pairs):
+            pairs.add((v, rng.randrange(v + 1, n)))
+    edges = []
+    for i, j in sorted(pairs):
+        edges += [(f"v{i}", f"v{j}", ())] * rng.choice([1, 1, 2])
+        if rng.random() < 0.3:
+            edges.append((f"v{i}", f"v{j}", ("L",)))
+    rng.shuffle(edges)
+    return Instance.build([f"v{i}" for i in range(n)], edges, labels={"L": 1})
+
+
+def test_hop_routes_equal_the_breadth_first_routes(monkeypatch):
+    real, calls = unlabeled_hops, []
+    monkeypatch.setattr(cover_module, "unlabeled_hops", lambda inst, stops: calls.append(stops) or real(inst, stops))
+    rng = random.Random(20241)
+    routes = 0
+    for _ in range(150):
+        inst = random_dag(rng)
+        names = inst.nodes
+        for seed in (None, 0):
+            calls.clear()
+            cover = min_path_cover(inst, seed)
+            for stops, path in zip(calls, cover.paths, strict=True):  # one pass per chain
+                expected = [shortest_unlabeled_path(inst, names[a], names[b]) for a, b in zip(stops, stops[1:])]
+                assert path == tuple(eid for route in expected for eid in route)
+                routes += len(expected)
+            for index, order in enumerate(cover.node_orders):
+                ci = build_contracted_instance(inst, cover, index)
+                on_path = {inst.node_index[u] for u in order}
+                for orig, e in zip(ci.edges, ci.graph.edges):
+                    head = inst.node_index[inst.edges[orig].dst]
+                    if head not in on_path:
+                        route = follow(inst, ci.hop, head, on_path.__contains__)
+                        assert route == shortest_unlabeled_path(inst, names[head], e.dst)
+                        routes += 1
+    assert routes > 1500
 
 
 @settings(max_examples=40, deadline=None)

@@ -34,13 +34,14 @@ from pathprophet import (
     sample_realization,
     validate_instance,
 )
+from pathprophet import cover as cover_module
 from pathprophet import policies
 from pathprophet.cover import PathCover
 from pathprophet.policies import build_contracted_instance, run_modified_width1
 
 from bruteforce import (
-    iter_realizations, offline_statistics, online_value, path_order, policy_tree, staged_tree_accept,
-    unlabeled_tree_accept,
+    iter_realizations, offline_statistics, online_value, path_order, policy_tree, shortest_unlabeled_path,
+    staged_tree_accept, unlabeled_tree_accept,
 )
 from conftest import dag_fuzz, diamond, labeled_fuzz, strands_fuzz, width1_fuzz
 
@@ -378,14 +379,20 @@ def test_general_replay_produces_real_walks():
 @pytest.mark.parametrize("name", ["grid", "markets", "dag_fuzz(35)"])
 def test_only_the_sampler_computes_connector_routes(name, monkeypatch):
     inst = dag_fuzz(35) if name == "dag_fuzz(35)" else generate_paper_instance(name)
-    real = policies.shortest_unlabeled_path
+    real, calls = policies.unlabeled_hops, []
 
-    def refuse(*args):
-        raise AssertionError("exact evaluation computed a connector route")
+    def counted(inst, stops):
+        calls.append(list(stops))
+        return real(inst, stops)
 
-    monkeypatch.setattr(policies, "shortest_unlabeled_path", refuse)
+    monkeypatch.setattr(cover_module, "unlabeled_hops", counted)
+    monkeypatch.setattr(policies, "unlabeled_hops", counted)
     prepared = prepare_policy(inst, "general")
     prepared.exact_value()
+    k, idx = prepared.width, inst.node_index
+    # one pass per chain of the unseeded cover, then one per cover path's contraction
+    assert len(calls) == 2 * k and all(stops[0] == 0 and stops[-1] == len(inst.nodes) - 1 for stops in calls[:k])
+    assert calls[k:] == [[idx[u] for u in ci.graph.nodes] for ci in prepared.contracted]
     heads = {
         (inst.edges[orig].dst, e.dst)
         for ci in prepared.contracted
@@ -393,10 +400,13 @@ def test_only_the_sampler_computes_connector_routes(name, monkeypatch):
         if inst.edges[orig].dst != e.dst
     }
     assert heads, "no contracted edge leaves its cover path"
-    calls = []
-    monkeypatch.setattr(policies, "shortest_unlabeled_path", lambda *args: calls.append(args[1:]) or real(*args))
-    prepared.sampler()
-    assert sorted(calls) == sorted(heads)  # one route per (head, target), none on the path
+    calls.clear()
+    walk = prepared.sampler()
+    assert calls == []  # the sampler expands the contractions' hops and runs no pass of its own
+    for ci, replay in zip(prepared.contracted, walk.replay, strict=True):
+        for orig, e, real_edges in zip(ci.edges, ci.graph.edges, replay, strict=True):
+            head = inst.edges[orig].dst
+            assert real_edges == (orig, *(shortest_unlabeled_path(inst, head, e.dst) if head != e.dst else ()))
 
 
 # -- disjoint strands --------------------------------------------------------

@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import contextlib
+import importlib
 import io
 import re
 import shlex
 from pathlib import Path
 
+import pathprophet
 from pathprophet.cli import main
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+MODULES = {p.stem for p in (ROOT / "src" / "pathprophet").glob("*.py")} - {"__init__"}
 
 
 def fenced_block(heading: str, lang: str) -> str:
@@ -50,3 +54,24 @@ def test_instance_file_example_validates(tmp_path):
         assert main(["validate", str(path)]) == 0
         assert main(["opt", str(path)]) == 0
     assert out.getvalue().splitlines()[-1] == "expected offline value: 1.5"
+
+
+def test_dotted_names_resolve():
+    """A backticked `module.name` or `ExportedClass.name` names something
+    that exists (a `module.py` is a file name, not an attribute)."""
+    checked = 0
+    for name in sorted(set(re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", README))):
+        head, *rest = name.split(".")
+        if head in MODULES and rest != ["py"]:
+            obj = importlib.import_module(f"pathprophet.{head}")
+        elif head in pathprophet.__all__ and isinstance(getattr(pathprophet, head), type):
+            obj = getattr(pathprophet, head)
+        else:
+            continue
+        for part in rest:  # a dataclass field without a default is no class attribute
+            assert hasattr(obj, part) or part in getattr(obj, "__dataclass_fields__", {}), (
+                f"README names `{name}`, which does not resolve"
+            )
+            obj = getattr(obj, part, None)
+        checked += 1
+    assert checked >= 10
